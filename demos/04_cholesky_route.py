@@ -14,7 +14,6 @@ from spdag import (
     caching_wrapper,
     covariance_of,
     gaussian_exact_backend,
-    min_degree_order,
     permuted_precision,
     precision_of,
     random_sem,
@@ -49,7 +48,7 @@ bad = upper_cholesky(permuted_precision(sigma, worst))
 print(f"\nnonzeros above diagonal, identity order: {factor.num_nonzero}")
 print(f"nonzeros above diagonal, reversed order: {bad.num_nonzero}")
 
-# Scan orderings through factorizations alone, then through CI queries.
+# Search all orderings through factor columns alone, then through CI queries.
 via_factor = sp_search_cholesky(sigma)
 via_queries = sp_search(caching_wrapper(gaussian_exact_backend(sigma)))
 print("\nfactorization route min edges:", via_factor.min_edges)
@@ -57,11 +56,3 @@ print("query route min edges:", via_queries.min_edges)
 print("same winner set:", via_factor.winners == via_queries.winners)
 print("same class set:", via_factor.classes == via_queries.classes)
 
-# The fill-reducing heuristic from sparse linear algebra gives a cheap
-# upper bound in one pass. On this nearly dense precision it is well
-# off the optimum, which is exactly why the search scans everything;
-# the bound's only job is to seed the scan's pruning (warm_start=True).
-heuristic = min_degree_order(caching_wrapper(gaussian_exact_backend(sigma)))
-hfac = upper_cholesky(permuted_precision(sigma, heuristic))
-print("\nmin-degree ordering:", heuristic.order)
-print("its edge count:", hfac.num_nonzero, " optimum:", via_factor.min_edges)

@@ -156,9 +156,7 @@ def cmd_learn(args) -> int:
         tol = args.tol if args.tol is not None else CHOL_TOL
         result = sp_search_cholesky(built, chol_tol=tol, max_p=args.max_p)
     else:
-        result = sp_search(
-            caching_wrapper(built), max_p=args.max_p, workers=args.threads
-        )
+        result = sp_search(caching_wrapper(built), max_p=args.max_p)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     _write_json(_search_json(result, label, wall_ms), args.out)
     kind = "class" if result.unique_class else "classes"
@@ -277,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     learn = subs.add_parser("learn", help="search all orderings for the sparsest DAGs")
     _add_backend_args(learn, with_cholesky=True)
     learn.add_argument("--max-p", type=int, default=PERMUTATION_CAP)
-    learn.add_argument("--threads", type=int, default=1)
+    # accepted so existing scripts keep working; the search runs in one
+    # process, and simulate --threads parallelizes across trials instead
+    learn.add_argument("--threads", type=int, default=1, help="ignored")
     learn.add_argument("--out", required=True, help="result JSON path ('-' for stdout)")
     learn.set_defaults(func=cmd_learn)
 

@@ -32,6 +32,8 @@ from scipy.stats import norm
 from .exceptions import NumericalError
 from .graph import Dag, d_separated
 
+COLLINEAR_TOL = 1e-10
+
 __all__ = [
     "CiBackend",
     "TestConfig",
@@ -315,10 +317,13 @@ class FisherZBackend(CiBackend):
     """Finite-sample backend: z-transform test on sample partial correlations.
 
     The sample covariance is the uncentered 1/n moment matrix, computed
-    once. A query forms the sample partial correlation rho, maps it
-    through z = atanh(rho), and retains independence iff
-    sqrt(n - |S| - 3) * |z| stays below the two-sided normal quantile for
-    the configured alpha. Collinear queries (|rho| >= 1) count as
+    once and standardized to unit diagonal. A query takes one Cholesky
+    factor L of the standardized block over S + [j, k]; the sample
+    partial correlation is rho = L[-1,-2] / hypot(L[-1,-2], L[-1,-1]).
+    The pair is independent iff sqrt(n - |S| - 3) * |atanh(rho)| stays
+    below the two-sided normal quantile for the configured alpha.
+    Collinear queries, where the factorization fails or a squared pivot
+    (a standardized conditional variance) falls below 1e-10, count as
     dependent and bump :attr:`collinear_warnings`.
     """
 
@@ -332,6 +337,9 @@ class FisherZBackend(CiBackend):
                 f"need n >= p + 4 samples for the z test (got n={n}, p={p})"
             )
         self._sigma_hat = (x.T @ x) / n
+        scale = np.sqrt(np.diag(self._sigma_hat))
+        scale[scale == 0] = 1.0  # an all-zero column stays zero: collinear
+        self._corr = self._sigma_hat / np.outer(scale, scale)
         self._n = n
         self._p = p
         self._alpha = cfg.alpha
@@ -354,24 +362,29 @@ class FisherZBackend(CiBackend):
     def sample_covariance(self) -> np.ndarray:
         return self._sigma_hat.copy()
 
+    def _statistic(self, j, k, s) -> float:
+        idx = [*sorted(s), j, k]
+        try:
+            low = np.linalg.cholesky(self._corr.take(idx, 0).take(idx, 1))
+        except np.linalg.LinAlgError:
+            return math.inf
+        if not low.diagonal().min() ** 2 >= COLLINEAR_TOL:  # NaN fails too
+            return math.inf
+        c, d = float(low[-1, -2]), float(low[-1, -1])
+        return math.sqrt(self._n - len(s) - 3) * abs(math.atanh(c / math.hypot(c, d)))
+
     def statistic(self, j, k, s=()) -> float:
         """The test statistic sqrt(n - |S| - 3) * |atanh(rho_hat)|.
 
         Returns inf for collinear queries.
         """
-        j, k, s = _canonical_triple(self._p, j, k, s)
-        rho = partial_correlation(self._sigma_hat, j, k, s)
-        if abs(rho) >= 1.0:
-            return math.inf
-        return math.sqrt(self._n - len(s) - 3) * abs(math.atanh(rho))
+        return self._statistic(*_canonical_triple(self._p, j, k, s))
 
     def is_independent(self, j, k, s=()):
-        j, k, s = _canonical_triple(self._p, j, k, s)
-        rho = partial_correlation(self._sigma_hat, j, k, s)
-        if abs(rho) >= 1.0:
+        t = self._statistic(*_canonical_triple(self._p, j, k, s))
+        if t == math.inf:
             self.collinear_warnings += 1
             return False
-        t = math.sqrt(self._n - len(s) - 3) * abs(math.atanh(rho))
         return t < self._quantile
 
 
@@ -465,7 +478,8 @@ def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
 
     The expected layout has a header row of variable names; a purely
     numeric first row is accepted as data, in which case names default
-    to x0..x{p-1}. Returns (data, names).
+    to x0..x{p-1}. Returns (data, names). A NaN or infinite entry is
+    rejected with the 1-based data row and the column name.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
@@ -481,4 +495,11 @@ def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
     data = np.array([[float(f) for f in row] for row in rows], dtype=float)
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"{path}: data row {r + 1}, column {names[c]} holds {data[r, c]}, "
+            "not a finite number"
+        )
     return data, names

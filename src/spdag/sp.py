@@ -4,7 +4,9 @@ Every permutation of the vertices induces a DAG: scanning the order left
 to right, vertex k receives an edge from each earlier vertex j that stays
 dependent on k given the rest of the prefix.  The search scores each
 permutation by the edge count of that DAG and returns every DAG attaining
-the minimum, grouped into equivalence classes.
+the minimum, grouped into equivalence classes.  Because a vertex's
+parents depend only on the set of vertices before it, the minimum over
+the p! orderings is found by a DP over the 2^p prefix sets.
 
 A Gaussian-only variant scores permutations by the fill of the upper
 unitriangular Cholesky factor of the permuted precision matrix instead of
@@ -14,16 +16,14 @@ two routes coincide.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import CapacityError, NumericalError
-from .graph import Dag, EquivClassPattern, Permutation, _bits, as_permutation, pattern_of
+from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
 from .oracle import CiBackend, CovarianceMatrix, _as_matrix
 
 PERMUTATION_CAP = 9
@@ -35,7 +35,6 @@ __all__ = [
     "CholeskyFactor",
     "SpResult",
     "build_dag_for_permutation",
-    "min_degree_order",
     "permuted_precision",
     "sp_search",
     "sp_search_cholesky",
@@ -49,18 +48,18 @@ class SpResult:
 
     winners holds every minimal DAG (deduplicated as labeled graphs),
     classes the equivalence classes they fall into.  permutations_scanned
-    is the size of the scanned space, p!, independent of any pruning.
+    is the size of the searched space, p!.  Passing classes or
+    unique_class as None derives them from the winners.
     """
 
     min_edges: int
     winners: frozenset
-    classes: frozenset
-    unique_class: bool
+    classes: frozenset | None
+    unique_class: bool | None
     permutations_scanned: int
 
     def __post_init__(self):
         object.__setattr__(self, "winners", frozenset(self.winners))
-        object.__setattr__(self, "classes", frozenset(self.classes))
         if not self.winners:
             raise ValueError("a scan always produces at least one winner")
         for g in self.winners:
@@ -68,9 +67,13 @@ class SpResult:
                 raise ValueError(
                     f"winner has {g.num_edges} edges but min_edges={self.min_edges}"
                 )
-        if {pattern_of(g) for g in self.winners} != set(self.classes):
+        patterns = frozenset(pattern_of(g) for g in self.winners)
+        if self.classes is not None and patterns != set(self.classes):
             raise ValueError("classes must be exactly the winner patterns")
-        if self.unique_class != (len(self.classes) == 1):
+        object.__setattr__(self, "classes", patterns)
+        if self.unique_class is None:
+            object.__setattr__(self, "unique_class", len(patterns) == 1)
+        if self.unique_class != (len(patterns) == 1):
             raise ValueError("unique_class must track the class count")
 
     def ordered_winners(self) -> list:
@@ -127,70 +130,53 @@ def _set_of(mask: int) -> tuple:
     return tuple(_bits(mask))
 
 
-def _scan_edges(ci: CiBackend, p: int, first_vertices, bound, seed_edges):
-    """Depth-first walk of the permutation tree restricted to the given
-    first vertices.
+def _sparsest(p: int, parents) -> SpResult:
+    """Subset DP over ordering prefixes, returning every minimal DAG.
 
-    Returns (best_count, set of winning edge frozensets).  A prefix is
-    abandoned once its running edge count exceeds the incumbent; ties are
-    always kept, so the winner set is complete for this subtree.
+    In any ordering, vertex k's parents depend only on the set of
+    vertices before it, so parents(mask, k) scores appending k to the
+    prefix set mask and the minimum over all p! orderings is a DP over
+    the 2^p prefix sets (the exact order DP of Silander and Myllymaki).
+    Every tying step is kept; the prefixes lying on an optimal ordering
+    are then marked backwards from the full set, and the winning edge
+    sets are built forwards over them one prefix size at a time, so a
+    winner reached by many orderings is held once.
     """
     full = (1 << p) - 1
-    memo: dict = {}
-    is_independent = ci.is_independent
-
-    def parents_of(mask: int, k: int) -> tuple:
-        key = (mask, k)
-        got = memo.get(key)
-        if got is None:
-            got = tuple(
-                j
-                for j in _bits(mask)
-                if not is_independent(j, k, _set_of(mask & ~(1 << j)))
-            )
-            memo[key] = got
-        return got
-
-    best = bound if bound is not None else math.inf
-    winners = set(seed_edges)
-    path: list = []
-
-    def extend(mask: int, count: int) -> None:
-        nonlocal best
-        if mask == full:
-            edges = frozenset(path)
-            if count < best:
-                best = count
-                winners.clear()
-                winners.add(edges)
-            elif count == best:
-                winners.add(edges)
-            return
+    best = [0] + [math.inf] * full
+    steps: list = [[] for _ in range(full + 1)]
+    for mask in range(full):
         for k in range(p):
             if mask >> k & 1:
                 continue
-            incoming = parents_of(mask, k)
-            nxt = count + len(incoming)
-            if nxt > best:
-                continue
-            path.extend((j, k) for j in incoming)
-            extend(mask | (1 << k), nxt)
-            del path[len(path) - len(incoming):]
+            added = frozenset((j, k) for j in parents(mask, k))
+            nxt = mask | 1 << k
+            count = best[mask] + len(added)
+            if count < best[nxt]:
+                best[nxt] = count
+                steps[nxt] = [(mask, added)]
+            elif count == best[nxt]:
+                steps[nxt].append((mask, added))
 
-    for v in first_vertices:
-        extend(1 << v, 0)
-    return best, winners
+    by_size: list = [[] for _ in range(p + 1)]
+    on_path = {full}
+    for mask in range(full, 0, -1):  # every step leads to a larger mask
+        if mask in on_path:
+            by_size[bin(mask).count("1")].append(mask)
+            on_path.update(prev for prev, _ in steps[mask])
 
-
-def _finish(p: int, best, winners, scanned: int) -> SpResult:
-    dags = frozenset(Dag(p, edges) for edges in winners)
-    classes = frozenset(pattern_of(g) for g in dags)
+    level = {0: {frozenset()}}
+    for masks in by_size[1:]:
+        level = {
+            mask: {edges | added for prev, added in steps[mask] for edges in level[prev]}
+            for mask in masks
+        }
     return SpResult(
-        min_edges=int(best),
-        winners=dags,
-        classes=classes,
-        unique_class=len(classes) == 1,
-        permutations_scanned=scanned,
+        min_edges=best[full],
+        winners=frozenset(Dag(p, edges) for edges in level[full]),
+        classes=None,
+        unique_class=None,
+        permutations_scanned=math.factorial(p),
     )
 
 
@@ -207,79 +193,30 @@ def sp_search(
     p: int | None = None,
     *,
     max_p: int = PERMUTATION_CAP,
-    workers: int = 1,
-    warm_start: bool = False,
 ) -> SpResult:
-    """Scan all p! orderings and keep every minimal induced DAG.
+    """Search all p! orderings and keep every minimal induced DAG.
 
-    The scan is exhaustive; pruning only cuts prefixes that already
-    exceed the incumbent count, which cannot drop a tie.  warm_start
-    seeds the incumbent with the DAG of a minimum-degree ordering.  With
-    workers > 1 the tree is partitioned by first vertex across
-    processes; the merged result is identical for any worker count.
+    The search is a DP over the 2^p prefix sets: appending k to the
+    prefix set S costs the j in S that stay dependent on k given
+    S minus {j}.  It issues each distinct query exactly once through
+    the backend and returns every DAG that some optimal ordering
+    induces.
     """
     if p is None:
         p = ci.p
     elif p != ci.p:
         raise ValueError(f"backend covers {ci.p} variables, not {p}")
     _check_cap(p, max_p)
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+    is_independent = ci.is_independent
 
-    bound = None
-    seed: set = set()
-    if warm_start:
-        g0 = build_dag_for_permutation(min_degree_order(ci), ci)
-        bound = g0.num_edges
-        seed = {g0.edges}
+    def parents(mask: int, k: int) -> tuple:
+        return tuple(
+            j
+            for j in _bits(mask)
+            if not is_independent(j, k, _set_of(mask & ~(1 << j)))
+        )
 
-    scanned = math.factorial(p)
-    if workers == 1 or p < 2:
-        best, winners = _scan_edges(ci, p, range(p), bound, seed)
-        return _finish(p, best, winners, scanned)
-
-    parts = [list(range(w, p, workers)) for w in range(min(workers, p))]
-    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-        futures = [
-            pool.submit(_scan_edges, ci, p, part, bound, seed) for part in parts
-        ]
-        results = [f.result() for f in futures]
-    best = min(r[0] for r in results)
-    winners = set()
-    for local_best, local_winners in results:
-        if local_best == best:
-            winners |= local_winners
-    # the warm-start seed survives in every subtree result; keep it only
-    # if it is genuinely minimal
-    winners = {e for e in winners if len(e) == best}
-    return _finish(p, best, winners, scanned)
-
-
-def min_degree_order(ci: CiBackend) -> Permutation:
-    """Heuristic ordering: reverse minimum-degree elimination on the
-    pairwise-dependence-given-everything-else graph.
-
-    Only useful as a bound seed for sp_search; carries no optimality
-    guarantee of its own.
-    """
-    p = ci.p
-    every = set(range(p))
-    adj = {v: set() for v in range(p)}
-    for j in range(p):
-        for k in range(j + 1, p):
-            if not ci.is_independent(j, k, every - {j, k}):
-                adj[j].add(k)
-                adj[k].add(j)
-    eliminated = []
-    alive = set(range(p))
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
-        rest = adj[v] & alive
-        for a in rest:  # fill in: neighbours become a clique
-            adj[a] |= rest - {a}
-        alive.remove(v)
-        eliminated.append(v)
-    return Permutation(eliminated[::-1])
+    return _sparsest(p, parents)
 
 
 def permuted_precision(sigma, pi) -> CovarianceMatrix:
@@ -332,11 +269,16 @@ def sp_search_cholesky(
     *,
     max_p: int = PERMUTATION_CAP,
 ) -> SpResult:
-    """Gaussian-only scan scoring each ordering by Cholesky fill.
+    """Gaussian-only search scoring each ordering by Cholesky fill.
 
-    For each permutation the precision matrix is permuted and factored;
-    the strict upper nonzeros of U, mapped back through the ordering,
-    form the candidate DAG.  Winners minimize the fill count.
+    For an ordering, column k of the upper unitriangular factor of the
+    permuted precision matrix holds, up to sign, the coefficients of
+    regressing k on the vertices before it.  Those depend only on the
+    set of earlier vertices, so the search runs the same prefix-set DP
+    as sp_search, with k's parents given S being the regression
+    coefficients on S above chol_tol.  The coefficients are solved on
+    the correlation matrix of sigma, which makes the tolerance
+    scale-free: rescaling variables leaves the answer unchanged.
     """
     if chol_tol <= 0:
         raise ValueError(f"tolerance must be positive, got {chol_tol}")
@@ -344,33 +286,17 @@ def sp_search_cholesky(
     p = m.shape[0]
     _check_cap(p, max_p)
     try:
-        kfull = cho_solve(cho_factor(m, lower=True), np.eye(p))
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"covariance failed to factor: {err}") from None
-    kfull = (kfull + kfull.T) / 2.0
+    scale = np.sqrt(np.diag(m))
+    corr = m / np.outer(scale, scale)
 
-    best = math.inf
-    winners: set = set()
-    for order in itertools.permutations(range(p)):
-        idx = np.asarray(order)
-        kpi = kfull[np.ix_(idx, idx)]
-        rev = kpi[::-1, ::-1]
-        try:
-            low = np.linalg.cholesky(rev)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"permuted precision failed to factor at order {order}"
-            ) from None
-        uprime = low[::-1, ::-1]
-        u = uprime / np.diag(uprime)[None, :]
-        rows, cols = np.nonzero(np.triu(np.abs(u) > chol_tol, k=1))
-        count = len(rows)
-        if count > best:
-            continue
-        edges = frozenset((order[a], order[b]) for a, b in zip(rows, cols))
-        if count < best:
-            best = count
-            winners = {edges}
-        else:
-            winners.add(edges)
-    return _finish(p, best, winners, math.factorial(p))
+    def parents(mask: int, k: int) -> tuple:
+        s = _set_of(mask)
+        if not s:
+            return ()
+        coef = np.linalg.solve(corr[np.ix_(s, s)], corr[s, k])
+        return tuple(j for j, c in zip(s, coef) if abs(c) > chol_tol)
+
+    return _sparsest(p, parents)

@@ -223,6 +223,17 @@ class TestErrorSurface:
                      "--out", "-"]) == 1
         assert "nope.txt" in capsys.readouterr().err
 
+    def test_nan_in_samples_names_row_and_column(self, tmp_path, capsys):
+        rows = ["a,b,c"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]
+        rows[4] = "3,nan,3"
+        data = tmp_path / "gap.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["learn", "--backend", "fisher", "--input", str(data),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "gap.csv" in err and "data row 4" in err and "column b" in err
+
     def test_lambda_backend_needs_threshold(self, sem_files, capsys):
         _, cov, _ = sem_files
         assert main(["learn", "--backend", "lambda", "--input", str(cov),
