@@ -94,8 +94,9 @@ def _build_backend(args, *, allow_cholesky=False):
     names = _covariance_names(args.input)
     label = (lambda v: names[v]) if names else (lambda v: v)
     if kind == "gaussian":
-        tol = args.tol if args.tol is not None else None
-        return gaussian_exact_backend(sigma, zero_tol=tol), label
+        if args.tol is None:
+            return gaussian_exact_backend(sigma), label
+        return gaussian_exact_backend(sigma, zero_tol=args.tol), label
     if kind == "lambda":
         if args.lam is None:
             raise UsageError("--backend lambda requires --lambda")
@@ -138,13 +139,14 @@ def _write_json(doc, out):
             fh.write(text)
 
 
-def _search_json(result, label, wall_ms):
+def _search_json(result, label, wall_ms, collinear):
     return {
         "min_edges": result.min_edges,
         "winners": [_edge_list(g.edges, label) for g in result.ordered_winners()],
         "classes": [_pattern_json(c, label) for c in result.ordered_classes()],
         "unique_class": result.unique_class,
         "permutations_scanned": result.permutations_scanned,
+        "collinear_queries": collinear,
         "wall_time_ms": round(wall_ms, 3),
     }
 
@@ -158,7 +160,9 @@ def cmd_learn(args) -> int:
     else:
         result = sp_search(caching_wrapper(built), max_p=args.max_p)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    _write_json(_search_json(result, label, wall_ms), args.out)
+    # only the partial-correlation backends count collinear queries
+    collinear = getattr(built, "collinear_warnings", 0)
+    _write_json(_search_json(result, label, wall_ms, collinear), args.out)
     kind = "class" if result.unique_class else "classes"
     print(
         f"minimum {result.min_edges} edges, {len(result.winners)} optimal "
@@ -181,6 +185,7 @@ def cmd_baseline(args) -> int:
         "classes": [_pattern_json(pattern, label)],
         "unique_class": True,
         "permutations_scanned": 0,
+        "collinear_queries": getattr(built, "collinear_warnings", 0),
         "wall_time_ms": round(wall_ms, 3),
     }
     _write_json(doc, args.out)

@@ -451,65 +451,16 @@ def consistent_order(g: Dag) -> Permutation:
     return Permutation(order)
 
 
-@lru_cache(maxsize=8)
-def _all_dag_edge_sets(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Edge sets of every labeled DAG on p vertices (cached for p <= 5)."""
+def _dag_edge_sets(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Edge sets of every labeled DAG on p vertices, in enumeration order."""
     pairs = list(combinations(range(p), 2))
     n = len(pairs)
-    out: list[tuple[tuple[int, int], ...]] = []
     edges: list[tuple[int, int]] = []
 
-    def rec(i: int, reach: list[int]) -> None:
+    def rec(i: int, reach: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         # reach[v] = bitmask of vertices reachable from v by a directed path.
         if i == n:
-            out.append(tuple(edges))
-            return
-        a, b = pairs[i]
-        rec(i + 1, reach)
-        for u, v in ((a, b), (b, a)):
-            if reach[v] >> u & 1:
-                continue
-            new_reach = list(reach)
-            gained = new_reach[v] | (1 << v)
-            for w in range(p):
-                if w == u or new_reach[w] >> u & 1:
-                    new_reach[w] |= gained
-            edges.append((u, v))
-            rec(i + 1, new_reach)
-            edges.pop()
-
-    rec(0, [0] * p)
-    return tuple(out)
-
-
-def enumerate_all_dags(p: int) -> Iterator[Dag]:
-    """Yield every labeled DAG on ``p`` vertices, in a fixed order.
-
-    The count grows superexponentially (25 at p=3, 543 at p=4, 29281 at
-    p=5), so this refuses p beyond ENUMERATION_CAP. Enumeration order is
-    deterministic: pairs are scanned lexicographically and each pair
-    takes the states absent, low to high, high to low.
-    """
-    p = int(p)
-    if p < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if p > ENUMERATION_CAP:
-        raise CapacityError(
-            f"enumerating all DAGs on p={p} vertices exceeds the cap "
-            f"({ENUMERATION_CAP}); the count is astronomically large"
-        )
-    if p <= 5:
-        for edge_set in _all_dag_edge_sets(p):
-            yield Dag(p, edge_set)
-        return
-    # p == 6 streams uncached; 3.78 million graphs.
-    pairs = list(combinations(range(p), 2))
-    n = len(pairs)
-    edges: list[tuple[int, int]] = []
-
-    def rec(i: int, reach: list[int]) -> Iterator[Dag]:
-        if i == n:
-            yield Dag(p, edges)
+            yield tuple(edges)
             return
         a, b = pairs[i]
         yield from rec(i + 1, reach)
@@ -525,7 +476,33 @@ def enumerate_all_dags(p: int) -> Iterator[Dag]:
             yield from rec(i + 1, new_reach)
             edges.pop()
 
-    yield from rec(0, [0] * p)
+    return rec(0, [0] * p)
+
+
+@lru_cache(maxsize=8)
+def _cached_dag_edge_sets(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(_dag_edge_sets(p))
+
+
+def enumerate_all_dags(p: int) -> Iterator[Dag]:
+    """Yield every labeled DAG on ``p`` vertices, in a fixed order.
+
+    The count grows superexponentially (25 at p=3, 543 at p=4, 29281 at
+    p=5), so this refuses p beyond ENUMERATION_CAP. Enumeration order is
+    deterministic: pairs are scanned lexicographically and each pair
+    takes the states absent, low to high, high to low. Edge sets are
+    cached for p <= 5; p = 6 (3.78 million graphs) streams uncached.
+    """
+    p = int(p)
+    if p < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if p > ENUMERATION_CAP:
+        raise CapacityError(
+            f"enumerating all DAGs on p={p} vertices exceeds the cap "
+            f"({ENUMERATION_CAP}); the count is astronomically large"
+        )
+    for edge_set in _cached_dag_edge_sets(p) if p <= 5 else _dag_edge_sets(p):
+        yield Dag(p, edge_set)
 
 
 class DagDocument(NamedTuple):

@@ -2,18 +2,20 @@
 
 Every learner in this package asks one kind of question: is X_j
 independent of X_k given X_S. :class:`CiBackend` fixes that surface and
-four interchangeable answer sources implement it:
+three answer sources implement it:
 
 * :func:`dsep_backend` answers from a known graph via d-separation,
 * :func:`explicit_backend` answers from a hand-listed set of triples,
-* :func:`gaussian_exact_backend` thresholds exact partial correlations
-  of a population covariance at a numerical zero,
-* :func:`lambda_backend` thresholds them at a coarse level lambda,
-* :func:`fisher_z_backend` runs the z-transform test on sample data.
+* :class:`PartialCorrelationBackend` thresholds a partial correlation of
+  a second-moment matrix, read from one Cholesky factor. Its factories
+  fix the rule: :func:`gaussian_exact_backend` calls |rho| at or below a
+  numerical zero independent, :func:`lambda_backend` does the same at a
+  coarse level lambda, and :func:`fisher_z_backend` runs the z-transform
+  test on sample data. On every rule a collinear block counts as
+  dependent and is counted in ``collinear_warnings``.
 
-All backends are deterministic, symmetric in the queried pair, and
-read-only after construction. :func:`caching_wrapper` memoizes any of
-them on canonicalized queries.
+All backends are deterministic and symmetric in the queried pair.
+:func:`caching_wrapper` memoizes any of them on canonicalized queries.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from .exceptions import NumericalError
@@ -40,9 +41,7 @@ __all__ = [
     "CovarianceMatrix",
     "DSepBackend",
     "ExplicitBackend",
-    "GaussianExactBackend",
-    "LambdaBackend",
-    "FisherZBackend",
+    "PartialCorrelationBackend",
     "CachingBackend",
     "dsep_backend",
     "explicit_backend",
@@ -59,23 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs shared by the numerical backends.
-
-    alpha is the test size used by the Fisher-z backend; zero_tol is the
-    absolute threshold under which the exact backend calls a partial
-    correlation zero.
-    """
+    """The test size alpha used by the Fisher-z backend."""
 
     __test__ = False  # not a pytest class despite the name
 
     alpha: float = 0.01
-    zero_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.zero_tol > 0:
-            raise ValueError(f"zero_tol must be positive, got {self.zero_tol}")
 
 
 class CovarianceMatrix:
@@ -212,180 +203,104 @@ class ExplicitBackend(CiBackend):
         return _canonical_triple(self._p, j, k, s) in self._triples
 
 
+def _standardize(moments) -> np.ndarray:
+    """A second-moment matrix scaled to unit diagonal.
+
+    An all-zero variable keeps its zero row, so every block holding it
+    is collinear.
+    """
+    m = _as_matrix(moments)
+    scale = np.sqrt(np.diag(m))
+    scale[scale == 0] = 1.0
+    return m / np.outer(scale, scale)
+
+
+def _partial_corr(corr: np.ndarray, j: int, k: int, s) -> float | None:
+    """Partial correlation of j and k given s on a standardized matrix.
+
+    Takes one Cholesky factor L of the block over S + [j, k] and returns
+    rho = L[-1,-2] / hypot(L[-1,-2], L[-1,-1]), or None when the block is
+    collinear: the factorization fails or a squared pivot (a
+    standardized conditional variance) falls below COLLINEAR_TOL.
+    """
+    idx = [*sorted(s), j, k]
+    try:
+        low = np.linalg.cholesky(corr.take(idx, 0).take(idx, 1))
+    except np.linalg.LinAlgError:
+        return None
+    if not low.diagonal().min() ** 2 >= COLLINEAR_TOL:  # NaN fails too
+        return None
+    c, d = float(low[-1, -2]), float(low[-1, -1])
+    return c / math.hypot(c, d)
+
+
 def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
     """Partial correlation of variables j and k given the set s.
 
-    Forms the 2x2 conditional covariance of (j, k) given s by Schur
-    complement, solving against a symmetric factorization of the s-block
-    rather than inverting it, then normalizes the off-diagonal entry.
-    With empty s this is the plain correlation.
+    Standardizes sigma to unit diagonal and reads the value from one
+    Cholesky factor of the block over s + [j, k], exactly as
+    :class:`PartialCorrelationBackend` does. With empty s this is the
+    plain correlation.
 
     Raises
     ------
     NumericalError
-        When the s-block fails to factorize; the offending subset is
-        attached to the exception.
+        When the block is collinear; the conditioning set is attached
+        to the exception.
     """
-    m = _as_matrix(sigma)
-    p = m.shape[0]
-    j, k, s = _canonical_triple(p, j, k, s)
-    pair = (j, k)
-    if s:
-        s_idx = sorted(s)
-        block = m[np.ix_(s_idx, s_idx)]
-        cross = m[np.ix_(pair, s_idx)]
-        try:
-            factor = cho_factor(block, lower=True)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"conditioning block for subset {s_idx} is not positive definite",
-                subset=s_idx,
-            ) from None
-        cond = m[np.ix_(pair, pair)] - cross @ cho_solve(factor, cross.T)
-    else:
-        cond = m[np.ix_(pair, pair)]
-    vjj, vkk = float(cond[0, 0]), float(cond[1, 1])
-    if vjj <= 0 or vkk <= 0:
+    corr = _standardize(sigma)
+    j, k, s = _canonical_triple(corr.shape[0], j, k, s)
+    rho = _partial_corr(corr, j, k, s)
+    if rho is None:
         raise NumericalError(
-            f"conditional variances for pair ({j}, {k}) given {sorted(s)} "
-            "are not positive",
-            subset=s,
+            f"block over {sorted(s)} + ({j}, {k}) is collinear", subset=s
         )
-    return float(cond[0, 1]) / math.sqrt(vjj * vkk)
+    return rho
 
 
-class GaussianExactBackend(CiBackend):
-    """Thresholds exact partial correlations of a population covariance."""
+class PartialCorrelationBackend(CiBackend):
+    """Thresholds the partial correlations of a second-moment matrix.
 
-    def __init__(self, sigma, cfg: TestConfig | None = None, *, zero_tol=None):
-        if not isinstance(sigma, CovarianceMatrix):
-            sigma = CovarianceMatrix(sigma)
-        if zero_tol is None:
-            zero_tol = cfg.zero_tol if cfg is not None else TestConfig().zero_tol
-        if not zero_tol > 0:
-            raise ValueError("zero_tol must be positive")
-        self._sigma = sigma
-        self._zero_tol = float(zero_tol)
-
-    @property
-    def p(self) -> int:
-        return self._sigma.p
-
-    @property
-    def sigma(self) -> CovarianceMatrix:
-        return self._sigma
-
-    @property
-    def zero_tol(self) -> float:
-        return self._zero_tol
-
-    def is_independent(self, j, k, s=()):
-        j, k, s = _canonical_triple(self.p, j, k, s)
-        return abs(partial_correlation(self._sigma, j, k, s)) <= self._zero_tol
-
-
-class LambdaBackend(CiBackend):
-    """Calls a pair independent when its partial correlation is small.
-
-    The level lambda is a modeling knob, not a numerical tolerance:
-    every triple with |partial correlation| <= lambda is independent.
+    The matrix is standardized once; each query reads rho from one
+    Cholesky factor of the block over S + [j, k]. Without n the pair is
+    independent iff |rho| <= level (the exact and lambda rules). With n
+    it is independent iff sqrt(n - |S| - 3) * |atanh(rho)| < level (the
+    Fisher-z rule, level being the two-sided normal quantile). On every
+    rule a collinear block counts as dependent and bumps
+    :attr:`collinear_warnings`.
     """
 
-    def __init__(self, sigma, lam: float):
-        if not isinstance(sigma, CovarianceMatrix):
-            sigma = CovarianceMatrix(sigma)
-        lam = float(lam)
-        if not 0 < lam < 1:
-            raise ValueError(f"lambda must lie in (0,1), got {lam}")
-        self._sigma = sigma
-        self._lam = lam
-
-    @property
-    def p(self) -> int:
-        return self._sigma.p
-
-    @property
-    def lam(self) -> float:
-        return self._lam
-
-    def is_independent(self, j, k, s=()):
-        j, k, s = _canonical_triple(self.p, j, k, s)
-        return abs(partial_correlation(self._sigma, j, k, s)) <= self._lam
-
-
-class FisherZBackend(CiBackend):
-    """Finite-sample backend: z-transform test on sample partial correlations.
-
-    The sample covariance is the uncentered 1/n moment matrix, computed
-    once and standardized to unit diagonal. A query takes one Cholesky
-    factor L of the standardized block over S + [j, k]; the sample
-    partial correlation is rho = L[-1,-2] / hypot(L[-1,-2], L[-1,-1]).
-    The pair is independent iff sqrt(n - |S| - 3) * |atanh(rho)| stays
-    below the two-sided normal quantile for the configured alpha.
-    Collinear queries, where the factorization fails or a squared pivot
-    (a standardized conditional variance) falls below 1e-10, count as
-    dependent and bump :attr:`collinear_warnings`.
-    """
-
-    def __init__(self, data, cfg: TestConfig):
-        x = np.asarray(data, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"expected an n x p sample matrix, got shape {x.shape}")
-        n, p = x.shape
-        if n < p + 4:
-            raise ValueError(
-                f"need n >= p + 4 samples for the z test (got n={n}, p={p})"
-            )
-        self._sigma_hat = (x.T @ x) / n
-        scale = np.sqrt(np.diag(self._sigma_hat))
-        scale[scale == 0] = 1.0  # an all-zero column stays zero: collinear
-        self._corr = self._sigma_hat / np.outer(scale, scale)
+    def __init__(self, moments, level: float, n: int | None = None):
+        self._corr = _standardize(moments)
+        self._level = float(level)
         self._n = n
-        self._p = p
-        self._alpha = cfg.alpha
-        self._quantile = float(norm.ppf(1 - cfg.alpha / 2))
         self.collinear_warnings = 0
 
     @property
     def p(self) -> int:
-        return self._p
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
-    @property
-    def sample_covariance(self) -> np.ndarray:
-        return self._sigma_hat.copy()
+        return self._corr.shape[0]
 
     def _statistic(self, j, k, s) -> float:
-        idx = [*sorted(s), j, k]
-        try:
-            low = np.linalg.cholesky(self._corr.take(idx, 0).take(idx, 1))
-        except np.linalg.LinAlgError:
+        rho = _partial_corr(self._corr, j, k, s)
+        if rho is None:
             return math.inf
-        if not low.diagonal().min() ** 2 >= COLLINEAR_TOL:  # NaN fails too
-            return math.inf
-        c, d = float(low[-1, -2]), float(low[-1, -1])
-        return math.sqrt(self._n - len(s) - 3) * abs(math.atanh(c / math.hypot(c, d)))
+        if self._n is None:
+            return abs(rho)
+        return math.sqrt(self._n - len(s) - 3) * abs(math.atanh(rho))
 
     def statistic(self, j, k, s=()) -> float:
-        """The test statistic sqrt(n - |S| - 3) * |atanh(rho_hat)|.
+        """The number the rule compares with the level; inf when collinear.
 
-        Returns inf for collinear queries.
+        That is |rho| without n and sqrt(n - |S| - 3) * |atanh(rho)| with n.
         """
-        return self._statistic(*_canonical_triple(self._p, j, k, s))
+        return self._statistic(*_canonical_triple(self.p, j, k, s))
 
     def is_independent(self, j, k, s=()):
-        t = self._statistic(*_canonical_triple(self._p, j, k, s))
+        t = self._statistic(*_canonical_triple(self.p, j, k, s))
         if t == math.inf:
             self.collinear_warnings += 1
             return False
-        return t < self._quantile
+        return t <= self._level if self._n is None else t < self._level
 
 
 class CachingBackend(CiBackend):
@@ -431,19 +346,37 @@ def explicit_backend(p: int, independent_triples) -> ExplicitBackend:
     return ExplicitBackend(p, independent_triples)
 
 
-def gaussian_exact_backend(sigma, cfg: TestConfig | None = None, *, zero_tol=None):
+def gaussian_exact_backend(sigma, *, zero_tol: float = 1e-9) -> PartialCorrelationBackend:
     """Exact-zero thresholding of population partial correlations."""
-    return GaussianExactBackend(sigma, cfg, zero_tol=zero_tol)
+    if not zero_tol > 0:
+        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
+    return PartialCorrelationBackend(CovarianceMatrix(sigma), zero_tol)
 
 
-def lambda_backend(sigma, lam: float) -> LambdaBackend:
-    """Coarse thresholding of population partial correlations at ``lam``."""
-    return LambdaBackend(sigma, lam)
+def lambda_backend(sigma, lam: float) -> PartialCorrelationBackend:
+    """Coarse thresholding of population partial correlations at ``lam``.
+
+    The level lambda is a modeling knob, not a numerical tolerance:
+    every triple with |partial correlation| <= lambda is independent.
+    """
+    lam = float(lam)
+    if not 0 < lam < 1:
+        raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    return PartialCorrelationBackend(CovarianceMatrix(sigma), lam)
 
 
-def fisher_z_backend(data, cfg: TestConfig) -> FisherZBackend:
-    """Finite-sample z-transform testing backend at size ``cfg.alpha``."""
-    return FisherZBackend(data, cfg)
+def fisher_z_backend(data, cfg: TestConfig) -> PartialCorrelationBackend:
+    """Finite-sample z-transform test at size ``cfg.alpha``.
+
+    The sample covariance is the uncentered 1/n moment matrix.
+    """
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected an n x p sample matrix, got shape {x.shape}")
+    n, p = x.shape
+    if n < p + 4:
+        raise ValueError(f"need n >= p + 4 samples for the z test (got n={n}, p={p})")
+    return PartialCorrelationBackend((x.T @ x) / n, float(norm.ppf(1 - cfg.alpha / 2)), n)
 
 
 def caching_wrapper(inner: CiBackend) -> CachingBackend:

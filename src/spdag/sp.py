@@ -24,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import CapacityError, NumericalError
 from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
-from .oracle import CiBackend, CovarianceMatrix, _as_matrix
+from .oracle import CiBackend, CovarianceMatrix, _as_matrix, _standardize
 
 PERMUTATION_CAP = 9
 CHOL_TOL = 1e-7
@@ -289,8 +289,7 @@ def sp_search_cholesky(
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"covariance failed to factor: {err}") from None
-    scale = np.sqrt(np.diag(m))
-    corr = m / np.outer(scale, scale)
+    corr = _standardize(m)
 
     def parents(mask: int, k: int) -> tuple:
         s = _set_of(mask)

@@ -44,7 +44,7 @@ class TestLearn:
         doc = json.loads(out.read_text())
         assert set(doc) == {
             "min_edges", "winners", "classes", "unique_class",
-            "permutations_scanned", "wall_time_ms",
+            "permutations_scanned", "collinear_queries", "wall_time_ms",
         }
         assert doc["min_edges"] == 4
         assert doc["permutations_scanned"] == math.factorial(4)
@@ -90,6 +90,23 @@ class TestLearn:
         assert json.loads(raw.read_text())["min_edges"] > n_true
         assert json.loads(ctr.read_text())["min_edges"] == n_true
 
+    def test_duplicated_column_reports_collinear_queries(self, sem_files, tmp_path):
+        sem, cov, truth = sem_files
+        x = sample(sem, 2000, np.random.default_rng(3))
+        data = tmp_path / "twin.csv"
+        np.savetxt(data, np.column_stack([x, x[:, 0]]), delimiter=",")
+        learn, pc = tmp_path / "learn.json", tmp_path / "pc.json"
+        run_ok(["learn", "--backend", "fisher", "--input", data, "--out", learn])
+        run_ok(["baseline", "--method", "pc", "--backend", "fisher",
+                "--input", data, "--out", pc])
+        assert json.loads(learn.read_text())["collinear_queries"] > 0
+        assert json.loads(pc.read_text())["collinear_queries"] > 0
+        # routes that read no partial correlation report none
+        for backend, source in (("dsep", truth), ("cholesky", cov)):
+            out = tmp_path / f"{backend}.json"
+            run_ok(["learn", "--backend", backend, "--input", source, "--out", out])
+            assert json.loads(out.read_text())["collinear_queries"] == 0
+
     def test_stdout_output(self, collider_file, capsys):
         run_ok(["learn", "--backend", "dsep", "--input", collider_file, "--out", "-"])
         captured = capsys.readouterr().out
@@ -124,7 +141,7 @@ class TestBaseline:
         doc = json.loads(out.read_text())
         assert set(doc) == {
             "method", "min_edges", "winners", "classes", "unique_class",
-            "permutations_scanned", "wall_time_ms",
+            "permutations_scanned", "collinear_queries", "wall_time_ms",
         }
         assert doc["method"] == "pc"
         assert doc["winners"] == []

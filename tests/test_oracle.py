@@ -6,6 +6,7 @@ Core claims checked here:
   * engineered weight cancellations produce exactly one extra independence
   * the lambda backend is monotone in lambda and brackets the exact one
   * the Fisher-z test hits its nominal size and detects real signal
+  * each backend factory answers by its documented rule on every triple
   * the caching wrapper is invisible except for the query count
   * covariance containers and CSV loaders validate their inputs
 """
@@ -14,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from spdag.exceptions import NumericalError
@@ -88,7 +91,7 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             TestConfig(alpha=1.0)
         with pytest.raises(ValueError):
-            TestConfig(zero_tol=0.0)
+            gaussian_exact_backend(np.eye(2), zero_tol=0.0)
 
 
 class TestPartialCorrelation:
@@ -373,6 +376,45 @@ class TestFisherZ:
             adjacent_dependent += not be.is_independent(0, 1)
         assert hit >= 198
         assert adjacent_dependent == 200
+
+
+class TestFactoryRules:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 5),
+        tol=st.floats(1e-12, 0.5),
+        lam=st.floats(0.001, 0.999),
+        alpha=st.floats(0.001, 0.5),
+    )
+    def test_answers_follow_the_documented_rule(self, seed, p, tol, lam, alpha):
+        # Reference rho from a full inverse, in arbitrary units: exact and
+        # lambda call |rho| <= level independent, Fisher-z calls
+        # sqrt(n - |S| - 3) * |atanh(rho)| < z_{1 - alpha/2} independent.
+        rng = np.random.default_rng(seed)
+        units = np.diag(10.0 ** rng.uniform(-3, 3, p))
+        sigma = units @ random_spd(rng, p) @ units
+        n = int(rng.integers(p + 4, 200))
+        x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p)) @ units
+
+        def fisher(rho, s):
+            return math.sqrt(n - len(s) - 3) * abs(math.atanh(rho))
+
+        cases = (
+            (gaussian_exact_backend(sigma, zero_tol=tol), sigma, tol, False),
+            (lambda_backend(sigma, lam), sigma, lam, False),
+            (fisher_z_backend(x, TestConfig(alpha=alpha)), x.T @ x / n,
+             norm.ppf(1 - alpha / 2), True),
+        )
+        for be, moments, level, strict in cases:
+            for j, k, s in iter_triples(p):
+                rho = partial_corr_by_inverse(moments, j, k, s)
+                t = fisher(rho, s) if strict else abs(rho)
+                assert be.statistic(j, k, s) == pytest.approx(t, rel=1e-6, abs=1e-9)
+                if abs(t - level) < 1e-9:
+                    continue
+                assert be.is_independent(j, k, s) == (t < level if strict else t <= level)
+            assert be.collinear_warnings == 0
 
 
 class TestCachingWrapper:

@@ -27,6 +27,7 @@ from spdag.oracle import (
     fisher_z_backend,
     gaussian_exact_backend,
     iter_triples,
+    lambda_backend,
 )
 from spdag.sem import GenConfig, LinearSem, covariance_of, precision_of, random_sem, sample
 from spdag.sp import (
@@ -386,18 +387,26 @@ class TestRobustness:
 
     def test_duplicated_column_counts_as_dependent(self):
         rng = np.random.default_rng(5)
-        x = sample(random_sem(GenConfig(p=4, expected_nbhd=1.5), rng), 2000, rng)
+        sem = random_sem(GenConfig(p=4, expected_nbhd=1.5), rng)
+        x = sample(sem, 2000, rng)
         data = np.column_stack([x, x[:, 0]])
+        # population twin: column 4 copies column 0, lifted just off singular
+        copy = np.vstack([np.eye(4), np.eye(4)[:1]])
+        sigma = copy @ np.asarray(covariance_of(sem)) @ copy.T + 1e-12 * np.eye(5)
+        CovarianceMatrix(sigma)  # accepted: positive definite, if barely
 
-        def fresh():
-            return fisher_z_backend(data, TestConfig(alpha=0.01))
-
-        be = fresh()
-        r = sp_search(caching_wrapper(be))
-        assert be.collinear_warnings > 0
-        assert all(g.adjacent(0, 4) for g in r.winners)
-        for skeleton_of in (sgs_skeleton, pc_skeleton):
+        factories = (
+            lambda: fisher_z_backend(data, TestConfig(alpha=0.01)),
+            lambda: gaussian_exact_backend(sigma),
+            lambda: lambda_backend(sigma, 0.05),
+        )
+        for fresh in factories:
             be = fresh()
-            edges, _ = skeleton_of(caching_wrapper(be))
+            r = sp_search(caching_wrapper(be))
             assert be.collinear_warnings > 0
-            assert (0, 4) in edges
+            assert all(g.adjacent(0, 4) for g in r.winners)
+            for skeleton_of in (sgs_skeleton, pc_skeleton):
+                be = fresh()
+                edges, _ = skeleton_of(caching_wrapper(be))
+                assert be.collinear_warnings > 0
+                assert (0, 4) in edges
