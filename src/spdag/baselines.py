@@ -79,14 +79,14 @@ def _check_cap(p: int) -> None:
         )
 
 
-def sgs_skeleton(ci: CiBackend, p: int | None = None):
+def sgs_skeleton(ci: CiBackend):
     """Full-sweep skeleton: delete {j,k} iff some S c V\\{j,k} separates.
 
     Conditioning sets are tried smallest first, ties broken
     lexicographically, and the first hit is recorded, so the witness
     table is the same on every run.
     """
-    p = _resolve_p(ci, p)
+    p = ci.p
     _check_cap(p)
     edges = set()
     sepsets = SepsetTable()
@@ -107,14 +107,14 @@ def sgs_skeleton(ci: CiBackend, p: int | None = None):
     return frozenset(edges), sepsets
 
 
-def pc_skeleton(ci: CiBackend, p: int | None = None):
+def pc_skeleton(ci: CiBackend):
     """Level-wise skeleton: condition only on current neighbours.
 
     At level l every ordered adjacent pair (j, k) is tested against all
     size-l subsets of adj(j)\\{k}; deletion takes effect immediately.
     The sweep stops once no neighbourhood can supply a bigger set.
     """
-    p = _resolve_p(ci, p)
+    p = ci.p
     _check_cap(p)
     adj = {v: set(range(p)) - {v} for v in range(p)}
     sepsets = SepsetTable()
@@ -167,17 +167,10 @@ def orient_v_structures(skeleton, sepsets: SepsetTable) -> EquivClassPattern:
     return EquivClassPattern(skeleton=edges, v_structures=frozenset(vees))
 
 
-def sgs_pattern(ci: CiBackend, p: int | None = None) -> EquivClassPattern:
-    return orient_v_structures(*sgs_skeleton(ci, p))
+def sgs_pattern(ci: CiBackend) -> EquivClassPattern:
+    return orient_v_structures(*sgs_skeleton(ci))
 
 
-def pc_pattern(ci: CiBackend, p: int | None = None) -> EquivClassPattern:
-    return orient_v_structures(*pc_skeleton(ci, p))
+def pc_pattern(ci: CiBackend) -> EquivClassPattern:
+    return orient_v_structures(*pc_skeleton(ci))
 
-
-def _resolve_p(ci: CiBackend, p: int | None) -> int:
-    if p is None:
-        return ci.p
-    if p != ci.p:
-        raise ValueError(f"backend covers {ci.p} variables, not {p}")
-    return p

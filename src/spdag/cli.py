@@ -131,7 +131,7 @@ def _subject_json(obj, label):
 
 
 def _write_json(doc, out):
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc) + "\n"
     if out == "-":
         sys.stdout.write(text)
     else:

@@ -130,7 +130,6 @@ class TrialRecord:
     trial: int
     seed: int
     method: str
-    skeleton_recovered: bool
     extra_edges: int
     missing_edges: int
     sp_unique_class: bool | None
@@ -139,17 +138,14 @@ class TrialRecord:
     def __post_init__(self):
         if self.extra_edges < 0 or self.missing_edges < 0:
             raise ValueError("edge error counts cannot be negative")
+        if (self.method == "sp") != (self.sp_unique_class is not None):
+            raise ValueError("sp records, and only they, state class uniqueness")
+
+    @property
+    def skeleton_recovered(self) -> bool:
+        """A clean skeleton, and for sp a single winning class."""
         clean = self.extra_edges == 0 and self.missing_edges == 0
-        if self.method == "sp":
-            if self.sp_unique_class is None:
-                raise ValueError("sp records must state class uniqueness")
-            want = clean and self.sp_unique_class
-        else:
-            if self.sp_unique_class is not None:
-                raise ValueError("only sp records carry class uniqueness")
-            want = clean
-        if self.skeleton_recovered != want:
-            raise ValueError("skeleton_recovered is inconsistent with the counts")
+        return clean and self.sp_unique_class is not False
 
 
 class SkipRecord(NamedTuple):
@@ -287,9 +283,6 @@ def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> li
         else:
             found, _ = pc_skeleton(backend)
         elapsed = (time.perf_counter() - t0) * 1000.0
-        extra = len(found - truth)
-        missing = len(truth - found)
-        clean = extra == 0 and missing == 0
         records.append(
             TrialRecord(
                 p=cell.p,
@@ -299,9 +292,8 @@ def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> li
                 trial=trial,
                 seed=seed_id,
                 method=method,
-                skeleton_recovered=clean and (unique is not False),
-                extra_edges=extra,
-                missing_edges=missing,
+                extra_edges=len(found - truth),
+                missing_edges=len(truth - found),
                 sp_unique_class=unique,
                 wall_time_ms=elapsed,
             )
@@ -310,12 +302,14 @@ def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> li
 
 
 def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
-    """Run every live (cell, trial) pair and gather sorted records.
+    """Run every live (cell, trial) pair and gather the records.
 
     Capacity and validity problems are decided up front per cell and
     method, recorded as skips, and never abort the run.  Worker count
-    affects scheduling only; the merged record list is sorted into
-    (cell, trial, method) order either way.
+    affects scheduling only: trials are submitted, and their results
+    read, in (cell, trial) order, and each trial lists its methods in
+    METHODS order, so the records come out in (cell, trial, method)
+    order either way.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
@@ -356,17 +350,6 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
             for f in futures:
                 records.extend(f.result())
 
-    rank = {m: i for i, m in enumerate(METHODS)}
-    index_of = {}
-    for cell in cells:
-        index_of[(cell.p, cell.n, cell.alpha, cell.nbhd)] = cell.index
-    records.sort(
-        key=lambda r: (
-            index_of[(r.p, r.n, r.alpha, r.nbhd)],
-            r.trial,
-            rank[r.method],
-        )
-    )
     return GridResult(
         config=cfg, cells=cells, records=tuple(records), skips=tuple(skips)
     )

@@ -328,7 +328,9 @@ class CachingBackend(CiBackend):
         return len(self._cache)
 
     def is_independent(self, j, k, s=()):
-        key = _canonical_triple(self._inner.p, j, k, s)
+        # the inner backend validates a missed query; only answered keys
+        # are stored, so every stored key is a valid query
+        key = (j, k, frozenset(s)) if j < k else (k, j, frozenset(s))
         hit = self._cache.get(key)
         if hit is None:
             hit = self._inner.is_independent(*key)

@@ -46,35 +46,39 @@ __all__ = [
 class SpResult:
     """Outcome of a full scan over the permutation space.
 
-    winners holds every minimal DAG (deduplicated as labeled graphs),
-    classes the equivalence classes they fall into.  permutations_scanned
-    is the size of the searched space, p!.  Passing classes or
-    unique_class as None derives them from the winners.
+    winners holds every minimal DAG (deduplicated as labeled graphs).
+    Everything else is read off them: min_edges is their common edge
+    count, classes the equivalence classes they fall into, and
+    permutations_scanned the size of the searched space, p!.
     """
 
-    min_edges: int
     winners: frozenset
-    classes: frozenset | None
-    unique_class: bool | None
-    permutations_scanned: int
 
     def __post_init__(self):
-        object.__setattr__(self, "winners", frozenset(self.winners))
-        if not self.winners:
+        winners = frozenset(self.winners)
+        if not winners:
             raise ValueError("a scan always produces at least one winner")
-        for g in self.winners:
-            if g.num_edges != self.min_edges:
-                raise ValueError(
-                    f"winner has {g.num_edges} edges but min_edges={self.min_edges}"
-                )
-        patterns = frozenset(pattern_of(g) for g in self.winners)
-        if self.classes is not None and patterns != set(self.classes):
-            raise ValueError("classes must be exactly the winner patterns")
-        object.__setattr__(self, "classes", patterns)
-        if self.unique_class is None:
-            object.__setattr__(self, "unique_class", len(patterns) == 1)
-        if self.unique_class != (len(patterns) == 1):
-            raise ValueError("unique_class must track the class count")
+        counts = {g.num_edges for g in winners}
+        if len(counts) > 1:
+            raise ValueError(f"winners differ in edge count: {sorted(counts)}")
+        object.__setattr__(self, "winners", winners)
+        object.__setattr__(self, "_classes", frozenset(pattern_of(g) for g in winners))
+
+    @property
+    def min_edges(self) -> int:
+        return next(iter(self.winners)).num_edges
+
+    @property
+    def classes(self) -> frozenset:
+        return self._classes
+
+    @property
+    def unique_class(self) -> bool:
+        return len(self._classes) == 1
+
+    @property
+    def permutations_scanned(self) -> int:
+        return math.factorial(next(iter(self.winners)).p)
 
     def ordered_winners(self) -> list:
         return sorted(self.winners, key=lambda g: sorted(g.edges))
@@ -171,13 +175,7 @@ def _sparsest(p: int, parents) -> SpResult:
             mask: {edges | added for prev, added in steps[mask] for edges in level[prev]}
             for mask in masks
         }
-    return SpResult(
-        min_edges=best[full],
-        winners=frozenset(Dag(p, edges) for edges in level[full]),
-        classes=None,
-        unique_class=None,
-        permutations_scanned=math.factorial(p),
-    )
+    return SpResult(frozenset(Dag(p, edges) for edges in level[full]))
 
 
 def _check_cap(p: int, max_p: int) -> None:
@@ -188,12 +186,7 @@ def _check_cap(p: int, max_p: int) -> None:
         )
 
 
-def sp_search(
-    ci: CiBackend,
-    p: int | None = None,
-    *,
-    max_p: int = PERMUTATION_CAP,
-) -> SpResult:
+def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
     """Search all p! orderings and keep every minimal induced DAG.
 
     The search is a DP over the 2^p prefix sets: appending k to the
@@ -202,10 +195,7 @@ def sp_search(
     the backend and returns every DAG that some optimal ordering
     induces.
     """
-    if p is None:
-        p = ci.p
-    elif p != ci.p:
-        raise ValueError(f"backend covers {ci.p} variables, not {p}")
+    p = ci.p
     _check_cap(p, max_p)
     is_independent = ci.is_independent
 

@@ -91,10 +91,6 @@ class TestSgsSkeleton:
         with pytest.raises(CapacityError):
             sgs_skeleton(explicit_backend(13, []))
 
-    def test_p_mismatch(self):
-        with pytest.raises(ValueError):
-            sgs_skeleton(dsep_backend(CHAIN3), 4)
-
 
 class TestPcSkeleton:
     def test_matches_sgs_under_separation_oracles(self):

@@ -121,30 +121,25 @@ class TestTrialRecordInvariants:
             extra_edges=0, missing_edges=0, wall_time_ms=1.0,
         )
         with pytest.raises(ValueError):
-            TrialRecord(method="sp", skeleton_recovered=True,
-                        sp_unique_class=None, **base)
+            TrialRecord(method="sp", sp_unique_class=None, **base)
         with pytest.raises(ValueError):
-            TrialRecord(method="sgs", skeleton_recovered=True,
-                        sp_unique_class=True, **base)
+            TrialRecord(method="sgs", sp_unique_class=True, **base)
+        assert TrialRecord(method="sp", sp_unique_class=True, **base).skeleton_recovered
         # non-unique sp output is a failure even with a clean skeleton
-        with pytest.raises(ValueError):
-            TrialRecord(method="sp", skeleton_recovered=True,
-                        sp_unique_class=False, **base)
-        ok = TrialRecord(method="sp", skeleton_recovered=False,
-                         sp_unique_class=False, **base)
-        assert not ok.skeleton_recovered
+        assert not TrialRecord(method="sp", sp_unique_class=False, **base).skeleton_recovered
 
     def test_counts_drive_recovery(self):
         base = dict(
             p=4, n=100, alpha=0.01, nbhd=1.0, trial=0, seed=1,
             method="pc", sp_unique_class=None, wall_time_ms=1.0,
         )
+        assert TrialRecord(extra_edges=0, missing_edges=0, **base).skeleton_recovered
+        assert not TrialRecord(extra_edges=1, missing_edges=0, **base).skeleton_recovered
+        assert not TrialRecord(extra_edges=0, missing_edges=2, **base).skeleton_recovered
         with pytest.raises(ValueError):
-            TrialRecord(skeleton_recovered=True, extra_edges=1, missing_edges=0, **base)
+            TrialRecord(extra_edges=-1, missing_edges=1, **base)
         with pytest.raises(ValueError):
-            TrialRecord(skeleton_recovered=False, extra_edges=0, missing_edges=0, **base)
-        with pytest.raises(ValueError):
-            TrialRecord(skeleton_recovered=False, extra_edges=-1, missing_edges=1, **base)
+            TrialRecord(extra_edges=0, missing_edges=-1, **base)
 
 
 class TestRunTrial:

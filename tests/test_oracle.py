@@ -453,6 +453,31 @@ class TestCachingWrapper:
             for j, k, s in order * 2:
                 assert wrapped.is_independent(j, k, s) == inner.is_independent(j, k, s)
 
+    @pytest.mark.parametrize("bad", [
+        (0, 4, ()),
+        (-1, 1, ()),
+        (0, 1, (7,)),
+        (1, 1, ()),
+        (0, 1, (0,)),
+        (0, 1, (1, 2)),
+    ])
+    def test_invalid_queries_raise_through_the_cache(self, bad):
+        sig = covariance_of(random_sem_pool(113, 1, p_values=(4,))[0])
+        for inner in (
+            dsep_backend(FOUR_CYCLE),
+            explicit_backend(4, [(0, 1, (2,))]),
+            gaussian_exact_backend(sig),
+        ):
+            be = caching_wrapper(inner)
+            with pytest.raises(ValueError):
+                be.is_independent(*bad)
+            # a valid query on the same pair must not let the bad one through
+            be.is_independent(0, 1, ())
+            be.is_independent(1, 0, (2,))
+            with pytest.raises(ValueError):
+                be.is_independent(*bad)
+            assert be.cache_size == 2
+
 
 class TestCsvLoaders:
     def test_covariance_with_and_without_header(self, tmp_path):

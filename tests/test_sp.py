@@ -64,14 +64,7 @@ def brute_force_scan(ci, shuffle_seed=None):
             best, winners = g.num_edges, {g}
         elif g.num_edges == best:
             winners.add(g)
-    classes = frozenset(pattern_of(g) for g in winners)
-    return SpResult(
-        min_edges=best,
-        winners=frozenset(winners),
-        classes=classes,
-        unique_class=len(classes) == 1,
-        permutations_scanned=math.factorial(ci.p),
-    )
+    return SpResult(frozenset(winners))
 
 
 def random_explicit_backends(seed, count, p=4, density=0.3):
@@ -205,20 +198,16 @@ class TestSpSearch:
         r = sp_search(explicit_backend(3, []), max_p=3)
         assert r.min_edges == 3  # complete graph: nothing is independent
 
-    def test_p_argument_is_checked(self):
-        ci = explicit_backend(4, [])
-        assert sp_search(ci, 4) == sp_search(ci)
-        with pytest.raises(ValueError):
-            sp_search(ci, 5)
-
     def test_result_invariants_enforced(self):
-        g = Dag(2, [(0, 1)])
         with pytest.raises(ValueError):
-            SpResult(0, frozenset({g}), frozenset({pattern_of(g)}), True, 2)
+            SpResult(frozenset())
         with pytest.raises(ValueError):
-            SpResult(1, frozenset({g}), frozenset({pattern_of(g)}), False, 2)
-        with pytest.raises(ValueError):
-            SpResult(1, frozenset({g}), frozenset(), False, 2)
+            SpResult(frozenset({Dag(3, [(0, 1)]), Dag(3, [(0, 1), (1, 2)])}))
+        r = SpResult(frozenset({Dag(3, [(0, 1)]), Dag(3, [(1, 2)])}))
+        assert r.min_edges == 1
+        assert r.classes == {pattern_of(g) for g in r.winners}
+        assert r.unique_class is False
+        assert r.permutations_scanned == 6
 
 
 class TestPermutedPrecision:
