@@ -431,18 +431,18 @@ def write_timings_csv(result: GridResult, path) -> None:
             )
 
 
-def write_aggregate_csv(result: GridResult, path) -> None:
+def write_aggregate_csv(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("p", "n", "alpha", "nbhd", "method", "metric", "value"))
-        for row in aggregate_rows(result):
+        for row in rows:
             w.writerow([_fmt(v) for v in row])
 
 
-def write_summary_json(result: GridResult, path) -> None:
+def write_summary_json(result: GridResult, rows, path) -> None:
     cfg = result.config
     per_cell: dict = {}
-    for p, n, alpha, nbhd, method, metric, value in aggregate_rows(result):
+    for p, n, alpha, nbhd, method, metric, value in rows:
         key = f"p={p} n={n} alpha={alpha} nbhd={nbhd}"
         per_cell.setdefault(key, {}).setdefault(method, {})[metric] = value
     doc = {
@@ -501,9 +501,10 @@ def write_outputs(result: GridResult, out_dir) -> dict:
         "aggregate": os.path.join(out_dir, "aggregate.csv"),
         "summary": os.path.join(out_dir, "summary.json"),
     }
+    rows = aggregate_rows(result)
     write_trials_csv(result, paths["trials"])
     write_timings_csv(result, paths["timings"])
-    write_aggregate_csv(result, paths["aggregate"])
-    write_summary_json(result, paths["summary"])
-    paths["figures"] = emit_plot_data(aggregate_rows(result), out_dir)
+    write_aggregate_csv(rows, paths["aggregate"])
+    write_summary_json(result, rows, paths["summary"])
+    paths["figures"] = emit_plot_data(rows, out_dir)
     return paths

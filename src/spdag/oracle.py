@@ -7,11 +7,12 @@ three answer sources implement it:
 * :func:`dsep_backend` answers from a known graph via d-separation,
 * :func:`explicit_backend` answers from a hand-listed set of triples,
 * :class:`PartialCorrelationBackend` thresholds a partial correlation of
-  a second-moment matrix, read from one Cholesky factor. Its factories
-  fix the rule: :func:`gaussian_exact_backend` calls |rho| at or below a
-  numerical zero independent, :func:`lambda_backend` does the same at a
-  coarse level lambda, and :func:`fisher_z_backend` runs the z-transform
-  test on sample data. On every rule a collinear block counts as
+  a second-moment matrix, read from a lazily filled table that holds one
+  inverse per vertex subset. Its factories fix the rule:
+  :func:`gaussian_exact_backend` calls |rho| at or below a numerical
+  zero independent, :func:`lambda_backend` does the same at a coarse
+  level lambda, and :func:`fisher_z_backend` runs the z-transform test
+  on sample data. On every rule a pair in a collinear subset counts as
   dependent and is counted in ``collinear_warnings``.
 
 All backends are deterministic and symmetric in the queried pair.
@@ -28,10 +29,11 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.stats import norm
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import ndtri
 
 from .exceptions import NumericalError
-from .graph import Dag, d_separated
+from .graph import Dag, _bits, d_separated
 
 COLLINEAR_TOL = 1e-10
 
@@ -215,32 +217,67 @@ def _standardize(moments) -> np.ndarray:
     return m / np.outer(scale, scale)
 
 
-def _partial_corr(corr: np.ndarray, j: int, k: int, s) -> float | None:
-    """Partial correlation of j and k given s on a standardized matrix.
+def _rank(mask: int, v: int) -> int:
+    """Position of member v among the members of mask, in ascending order."""
+    return (mask & ((1 << v) - 1)).bit_count()
 
-    Takes one Cholesky factor L of the block over S + [j, k] and returns
-    rho = L[-1,-2] / hypot(L[-1,-2], L[-1,-1]), or None when the block is
-    collinear: the factorization fails or a squared pivot (a
-    standardized conditional variance) falls below COLLINEAR_TOL.
+
+class _SubsetTable(dict):
+    """The inverse K = corr[T, T]^-1 for each vertex subset T, on first use.
+
+    Keyed by bitmask; each subset is factored once for the table's
+    lifetime. K comes from one dpotrf and one dpotrs against the
+    identity, not dpotri: with OpenBLAS on more than one thread, a fresh
+    process stalled in its first dpotri calls for about a second. Readers
+    take K_jk from the upper triangle only, so both orders of a pair read
+    one value.
+
+    The entry is None when T is collinear: the factorization fails or
+    some member's conditional variance given the rest of T, 1/K_ii,
+    falls below COLLINEAR_TOL. The rule looks at every member alike, so
+    it does not depend on how the variables are labeled.
     """
-    idx = [*sorted(s), j, k]
-    try:
-        low = np.linalg.cholesky(corr.take(idx, 0).take(idx, 1))
-    except np.linalg.LinAlgError:
-        return None
-    if not low.diagonal().min() ** 2 >= COLLINEAR_TOL:  # NaN fails too
-        return None
-    c, d = float(low[-1, -2]), float(low[-1, -1])
-    return c / math.hypot(c, d)
+
+    def __init__(self, corr: np.ndarray):
+        super().__init__()
+        self._corr = corr
+        self._eye = [np.eye(n) for n in range(corr.shape[0] + 1)]
+
+    def __missing__(self, mask: int) -> np.ndarray | None:
+        members = tuple(_bits(mask))
+        block = self._corr.take(members, 0).take(members, 1)
+        low, info = dpotrf(block.T, overwrite_a=1)  # block.T: same matrix, Fortran order
+        inv = None
+        if not info:
+            inv, info = dpotrs(low, self._eye[len(members)])
+            diag = inv.diagonal().tolist()
+            if info or not all(0 < kii * COLLINEAR_TOL <= 1 for kii in diag):  # NaN fails too
+                inv = None
+        self[mask] = inv
+        return inv
+
+    def column(self, mask: int, k: int):
+        """For T = mask + {k}: the K_jk and K_jj of each j in mask, and K_kk.
+
+        The j run in ascending order; None when T is collinear.
+        """
+        t = mask | 1 << k
+        inv = self[t]
+        if inv is None:
+            return None
+        b = _rank(t, k)
+        diag = inv.diagonal().tolist()
+        kkk = diag.pop(b)
+        return inv[:b, b].tolist() + inv[b, b + 1 :].tolist(), diag, kkk
 
 
 def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
     """Partial correlation of variables j and k given the set s.
 
-    Standardizes sigma to unit diagonal and reads the value from one
-    Cholesky factor of the block over s + [j, k], exactly as
-    :class:`PartialCorrelationBackend` does. With empty s this is the
-    plain correlation.
+    Standardizes sigma to unit diagonal and reads the value from the
+    inverse K of the block over s + {j, k} as -K_jk / sqrt(K_jj K_kk),
+    exactly as :class:`PartialCorrelationBackend` does. With empty s
+    this is the plain correlation.
 
     Raises
     ------
@@ -248,10 +285,10 @@ def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
         When the block is collinear; the conditioning set is attached
         to the exception.
     """
-    corr = _standardize(sigma)
-    j, k, s = _canonical_triple(corr.shape[0], j, k, s)
-    rho = _partial_corr(corr, j, k, s)
-    if rho is None:
+    be = PartialCorrelationBackend(sigma, 0.0)
+    j, k, s = _canonical_triple(be.p, j, k, s)
+    rho = be._rho(j, k, s)
+    if not abs(rho) < 1:
         raise NumericalError(
             f"block over {sorted(s)} + ({j}, {k}) is collinear", subset=s
         )
@@ -261,32 +298,57 @@ def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
 class PartialCorrelationBackend(CiBackend):
     """Thresholds the partial correlations of a second-moment matrix.
 
-    The matrix is standardized once; each query reads rho from one
-    Cholesky factor of the block over S + [j, k]. Without n the pair is
-    independent iff |rho| <= level (the exact and lambda rules). With n
-    it is independent iff sqrt(n - |S| - 3) * |atanh(rho)| < level (the
-    Fisher-z rule, level being the two-sided normal quantile). On every
-    rule a collinear block counts as dependent and bumps
-    :attr:`collinear_warnings`.
+    The matrix is standardized once. Every answer about a subset T comes
+    from one table entry, the inverse K = corr[T, T]^-1, filled on first
+    use: the partial correlation of j and k given the rest of T is
+    -K_jk / sqrt(K_jj K_kk). Without n the pair is independent iff
+    |rho| <= level (the exact and lambda rules). With n it is independent
+    iff sqrt(n - |S| - 3) * |atanh(rho)| < level (the Fisher-z rule,
+    level being the two-sided normal quantile). On every rule a pair in
+    a collinear subset, or with |rho| >= 1 from rounding, counts as
+    dependent and bumps :attr:`collinear_warnings`.
     """
 
     def __init__(self, moments, level: float, n: int | None = None):
         self._corr = _standardize(moments)
         self._level = float(level)
         self._n = n
+        self._table = _SubsetTable(self._corr)
         self.collinear_warnings = 0
 
     @property
     def p(self) -> int:
         return self._corr.shape[0]
 
-    def _statistic(self, j, k, s) -> float:
-        rho = _partial_corr(self._corr, j, k, s)
-        if rho is None:
+    @property
+    def subsets_factored(self) -> int:
+        """How many vertex subsets have been inverted so far."""
+        return len(self._table)
+
+    def _rho(self, j: int, k: int, s) -> float:
+        """rho of a canonical query from its subset's entry; NaN when collinear."""
+        mask = 1 << j | 1 << k
+        for v in s:
+            mask |= 1 << v
+        inv = self._table[mask]
+        if inv is None:
+            return math.nan
+        a, b = _rank(mask, j), _rank(mask, k)
+        return -inv.item(a, b) / math.sqrt(inv.item(a, a) * inv.item(b, b))
+
+    def _rule(self, rho: float, size: int) -> float:
+        """The statistic given |S| = size; inf when |rho| >= 1 or NaN."""
+        if not abs(rho) < 1:
             return math.inf
         if self._n is None:
             return abs(rho)
-        return math.sqrt(self._n - len(s) - 3) * abs(math.atanh(rho))
+        return math.sqrt(self._n - size - 3) * abs(math.atanh(rho))
+
+    def _independent(self, t: float) -> bool:
+        return t <= self._level if self._n is None else t < self._level
+
+    def _statistic(self, j, k, s) -> float:
+        return self._rule(self._rho(j, k, s), len(s))
 
     def statistic(self, j, k, s=()) -> float:
         """The number the rule compares with the level; inf when collinear.
@@ -300,7 +362,28 @@ class PartialCorrelationBackend(CiBackend):
         if t == math.inf:
             self.collinear_warnings += 1
             return False
-        return t <= self._level if self._n is None else t < self._level
+        return self._independent(t)
+
+    def parents(self, mask: int, k: int) -> tuple:
+        """The j in mask that stay dependent on k given mask minus {j}.
+
+        Reads one column of the entry for mask + {k} and answers as
+        is_independent would. A collinear answer is counted only for
+        j < k, so reading every column of a subset counts each collinear
+        pair once, as a cache in front of is_independent would.
+        """
+        if not mask:
+            return ()
+        members = tuple(_bits(mask))
+        col = self._table.column(mask, k)
+        if col is None:
+            stats = [math.inf] * len(members)
+        else:
+            kjk, kjj, kkk = col
+            size = len(members) - 1
+            stats = [self._rule(-x / math.sqrt(y * kkk), size) for x, y in zip(kjk, kjj)]
+        self.collinear_warnings += stats[: _rank(mask, k)].count(math.inf)
+        return tuple(j for j, t in zip(members, stats) if not self._independent(t))
 
 
 class CachingBackend(CiBackend):
@@ -378,7 +461,9 @@ def fisher_z_backend(data, cfg: TestConfig) -> PartialCorrelationBackend:
     n, p = x.shape
     if n < p + 4:
         raise ValueError(f"need n >= p + 4 samples for the z test (got n={n}, p={p})")
-    return PartialCorrelationBackend((x.T @ x) / n, float(norm.ppf(1 - cfg.alpha / 2)), n)
+    # ndtri is the normal quantile norm.ppf returns, without importing
+    # scipy.stats, which took over half of the package's import time
+    return PartialCorrelationBackend((x.T @ x) / n, float(ndtri(1 - cfg.alpha / 2)), n)
 
 
 def caching_wrapper(inner: CiBackend) -> CachingBackend:
@@ -413,21 +498,23 @@ def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
 
     The expected layout has a header row of variable names; a purely
     numeric first row is accepted as data, in which case names default
-    to x0..x{p-1}. Returns (data, names). A NaN or infinite entry is
-    rejected with the 1-based data row and the column name.
+    to x0..x{p-1}. Lines holding only commas and whitespace are skipped.
+    Returns (data, names). A NaN or infinite entry is rejected with the
+    1-based data row and the column name.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
-    if not rows:
+        lines = [line for line in fh if line.replace(",", "").strip()]
+    if not lines:
         raise ValueError(f"{path}: empty sample file")
-    if _sniff_header(",".join(rows[0])):
-        names = [f.strip() for f in rows[0]]
-        rows = rows[1:]
+    first = next(csv.reader(lines[:1]))
+    if _sniff_header(",".join(first)):
+        names = [f.strip() for f in first]
+        lines = lines[1:]
     else:
-        names = [f"x{i}" for i in range(len(rows[0]))]
-    if not rows:
+        names = [f"x{i}" for i in range(len(first))]
+    if not lines:
         raise ValueError(f"{path}: header but no data rows")
-    data = np.array([[float(f) for f in row] for row in rows], dtype=float)
+    data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")
     bad = np.argwhere(~np.isfinite(data))

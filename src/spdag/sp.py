@@ -24,7 +24,15 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import CapacityError, NumericalError
 from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
-from .oracle import CiBackend, CovarianceMatrix, _as_matrix, _standardize
+from .oracle import (
+    CachingBackend,
+    CiBackend,
+    CovarianceMatrix,
+    PartialCorrelationBackend,
+    _as_matrix,
+    _standardize,
+    _SubsetTable,
+)
 
 PERMUTATION_CAP = 9
 CHOL_TOL = 1e-7
@@ -191,12 +199,17 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
 
     The search is a DP over the 2^p prefix sets: appending k to the
     prefix set S costs the j in S that stay dependent on k given
-    S minus {j}.  It issues each distinct query exactly once through
-    the backend and returns every DAG that some optimal ordering
-    induces.
+    S minus {j}.  It returns every DAG that some optimal ordering
+    induces.  A partial-correlation backend, bare or cached, answers
+    each step with one row of its per-subset table; any other backend
+    gets the queries one at a time, and through a cache each distinct
+    query reaches it once.
     """
     p = ci.p
     _check_cap(p, max_p)
+    inner = ci.inner if isinstance(ci, CachingBackend) else ci
+    if isinstance(inner, PartialCorrelationBackend):
+        return _sparsest(p, inner.parents)
     is_independent = ci.is_independent
 
     def parents(mask: int, k: int) -> tuple:
@@ -266,9 +279,11 @@ def sp_search_cholesky(
     regressing k on the vertices before it.  Those depend only on the
     set of earlier vertices, so the search runs the same prefix-set DP
     as sp_search, with k's parents given S being the regression
-    coefficients on S above chol_tol.  The coefficients are solved on
-    the correlation matrix of sigma, which makes the tolerance
-    scale-free: rescaling variables leaves the answer unchanged.
+    coefficients on S above chol_tol.  They are read as -K_jk / K_kk
+    from the inverse K of the correlation block over S + {k}, from the
+    same kind of per-subset table the partial-correlation backend
+    keeps; working on the correlation matrix makes the tolerance
+    scale-free.  A collinear block makes every coefficient count.
     """
     if chol_tol <= 0:
         raise ValueError(f"tolerance must be positive, got {chol_tol}")
@@ -279,13 +294,16 @@ def sp_search_cholesky(
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"covariance failed to factor: {err}") from None
-    corr = _standardize(m)
+    table = _SubsetTable(_standardize(m))
 
     def parents(mask: int, k: int) -> tuple:
-        s = _set_of(mask)
-        if not s:
+        if not mask:
             return ()
-        coef = np.linalg.solve(corr[np.ix_(s, s)], corr[s, k])
-        return tuple(j for j, c in zip(s, coef) if abs(c) > chol_tol)
+        members = tuple(_bits(mask))
+        col = table.column(mask, k)
+        if col is None:
+            return members
+        kjk, _, kkk = col
+        return tuple(j for j, x in zip(members, kjk) if abs(x) / kkk > chol_tol)
 
     return _sparsest(p, parents)

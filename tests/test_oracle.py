@@ -36,6 +36,7 @@ from spdag.oracle import (
     partial_correlation,
 )
 from spdag.sem import LinearSem, covariance_of, random_sem, GenConfig, sample
+from spdag.sp import sp_search
 
 from corpus import (
     CHAIN3,
@@ -417,6 +418,62 @@ class TestFactoryRules:
             assert be.collinear_warnings == 0
 
 
+class TestCollinearRule:
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(3, 6),
+        exact_copy=st.booleans(),
+        data=st.data(),
+    )
+    def test_relabeling_permutes_answers_and_keeps_the_count(self, seed, p, exact_copy, data):
+        # The last column copies another, or is a combination of others
+        # with coefficients of mixed sizes plus noise that puts some
+        # members' conditional variances on either side of COLLINEAR_TOL.
+        # Relabeled, every statistic and answer moves with its labels and
+        # the collinear count stays, on the query path and the row path.
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = rng.standard_normal((n, p)) @ np.linalg.cholesky(random_spd(rng, p)).T
+        if exact_copy:
+            x[:, -1] = x[:, rng.integers(p - 1)]
+        else:
+            w = np.where(rng.random(p - 1) < 0.6, 1.0, 0.0)
+            w[rng.integers(p - 1)] = 1.0
+            w *= rng.choice((-1, 1), p - 1) * 10.0 ** rng.uniform(-1, 1, p - 1)
+            x[:, -1] = x[:, :-1] @ w
+            x[:, -1] += 10.0 ** rng.uniform(-7, -3) * x[:, -1].std() * rng.standard_normal(n)
+        x *= 10.0 ** rng.uniform(-3, 3, p)
+        perm = data.draw(st.permutations(range(p)))
+        moved = x[:, perm]  # new vertex v is old vertex perm[v]
+
+        def lifted(d):
+            sigma = d.T @ d / n
+            return lambda_backend(sigma + 1e-13 * np.diag(np.diag(sigma)), 0.1)
+
+        def fisher(d):
+            return fisher_z_backend(d, TestConfig(alpha=0.05))
+
+        for make, level in ((fisher, norm.ppf(1 - 0.05 / 2)), (lifted, 0.1)):
+            a, b = make(x), make(moved)
+            for j, k, s in iter_triples(p):
+                old = (perm[j], perm[k], [perm[v] for v in s])
+                want, got = a.statistic(*old), b.statistic(j, k, s)
+                assert not math.isnan(got)
+                if want == math.inf:
+                    assert got == math.inf
+                else:
+                    assert got == pytest.approx(want, rel=1e-6)
+                same = a.is_independent(*old) == b.is_independent(j, k, s)
+                assert same or abs(got - level) < 1e-6 * level
+            assert a.collinear_warnings == b.collinear_warnings
+            assert a.collinear_warnings > 0 or not exact_copy
+            a, b = make(x), make(moved)
+            sp_search(a)
+            sp_search(b)
+            assert a.collinear_warnings == b.collinear_warnings
+
+
 class TestCachingWrapper:
     def test_transparent_and_counts(self):
         calls = []
@@ -501,6 +558,20 @@ class TestCsvLoaders:
         data, names = load_samples_csv(path)
         assert names == ["x0", "x1"]
         assert data[1, 1] == 4.0
+
+    def test_samples_parse_exactly_and_skip_blank_lines(self, tmp_path):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-8, 8, (50, 3))
+        lines = [",".join(f"{v:.17g}" for v in row) for row in x]
+        lines[10:10] = ["", "  ", " , ,"]
+        path = tmp_path / "data.csv"
+        path.write_text("\n" + "a, b ,c\n" + "\n".join(lines) + "\n\n")
+        data, names = load_samples_csv(path)
+        assert names == ["a", "b", "c"]
+        assert data.tobytes() == x.tobytes()
+        path.write_text("a,b,c\n1,2\n")
+        with pytest.raises(ValueError, match="header width 3 != data width 2"):
+            load_samples_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "nothing.csv"

@@ -76,6 +76,20 @@ def random_explicit_backends(seed, count, p=4, density=0.3):
     return out
 
 
+class QueryOnly:
+    """Exposes only p and is_independent, so sp_search asks query by query."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def p(self):
+        return self._inner.p
+
+    def is_independent(self, j, k, s=()):
+        return self._inner.is_independent(j, k, s)
+
+
 class TestBuildDag:
     def test_edge_cancellation_order(self):
         # placing vertex 3 second keeps five edges: the 0->1 edge is the
@@ -208,6 +222,62 @@ class TestSpSearch:
         assert r.classes == {pattern_of(g) for g in r.winners}
         assert r.unique_class is False
         assert r.permutations_scanned == 6
+
+
+class TestSubsetTable:
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7))
+    def test_rows_match_the_query_path(self, seed, p):
+        # Random SPD matrices and samples in random units: reading rows of
+        # the per-subset table, bare or behind a cache, finds what the
+        # query path finds, and so does the Cholesky route.
+        rng = np.random.default_rng(seed)
+        units = 10.0 ** rng.uniform(-3, 3, p)
+        mix = np.where(rng.random((p, p)) < 0.4, rng.standard_normal((p, p)), 0.0)
+        mix += np.eye(p)
+        spd = mix @ mix.T * np.outer(units, units)
+        # few rows, so that sqrt(n - |S| - 3) moves with |S|
+        x = rng.standard_normal((p + 4 + int(rng.integers(0, 20)), p)) @ mix.T * units
+        sem = random_sem(GenConfig(p=p, expected_nbhd=min(2.0, p - 1)), rng)
+        sigma = np.asarray(covariance_of(sem)) * np.outer(units, units)
+        factories = (
+            lambda: lambda_backend(spd, 0.2),
+            lambda: fisher_z_backend(x, TestConfig(alpha=0.2)),
+            lambda: gaussian_exact_backend(sigma),
+        )
+        for fresh in factories:
+            be, ref = fresh(), QueryOnly(fresh())
+            for mask in range(1, 2**p):
+                members = [v for v in range(p) if mask >> v & 1]
+                for k in set(range(p)) - set(members):
+                    want = tuple(
+                        j for j in members
+                        if not ref.is_independent(j, k, [v for v in members if v != j])
+                    )
+                    assert be.parents(mask, k) == want
+            want = sp_search(QueryOnly(fresh()))
+            for got in (sp_search(fresh()), sp_search(caching_wrapper(fresh()))):
+                assert got.min_edges == want.min_edges
+                assert got.winners == want.winners
+        want = sp_search(QueryOnly(gaussian_exact_backend(sigma)))
+        got = sp_search_cholesky(sigma)
+        assert got.min_edges == want.min_edges
+        assert got.winners == want.winners
+
+    def test_each_subset_is_factored_once(self):
+        # SP inverts every subset of two or more vertices exactly once;
+        # SGS and PC on the same backend then find them all in the table
+        rng = np.random.default_rng(11)
+        for p in range(2, 10):
+            sigma = covariance_of(random_sem(GenConfig(p=p, expected_nbhd=min(2.0, p - 1)), rng))
+            be = gaussian_exact_backend(sigma)
+            ci = caching_wrapper(be)
+            sp_search(ci)
+            assert be.subsets_factored == 2**p - p - 1
+            sgs_skeleton(ci)
+            pc_skeleton(caching_wrapper(be))
+            assert be.subsets_factored == 2**p - p - 1
+        assert be.subsets_factored == 502
 
 
 class TestPermutedPrecision:
