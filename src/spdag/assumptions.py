@@ -11,7 +11,6 @@ instances, not to run inside experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .exceptions import CapacityError
 from .graph import (
@@ -23,7 +22,14 @@ from .graph import (
     triangles,
     unshielded_triples,
 )
-from .oracle import CiBackend, CovarianceMatrix, caching_wrapper, lambda_backend
+from .oracle import (
+    CiBackend,
+    CovarianceMatrix,
+    _pair_subsets,
+    caching_wrapper,
+    iter_triples,
+    lambda_backend,
+)
 
 MAX_WITNESSES = 20
 
@@ -89,21 +95,9 @@ def _check_match(g: Dag, ci: CiBackend) -> None:
         raise ValueError(f"graph has {g.p} vertices but backend covers {ci.p}")
 
 
-def _pair_subsets(p: int, j: int, k: int):
-    rest = [v for v in range(p) if v != j and v != k]
-    for size in range(len(rest) + 1):
-        yield from combinations(rest, size)
-
-
 def d_separation_set(g: Dag) -> frozenset:
     """All d-separated triples (j, k, S) of a graph, j < k, as a set."""
-    out = set()
-    for j in range(g.p):
-        for k in range(j + 1, g.p):
-            for s in _pair_subsets(g.p, j, k):
-                if d_separated(g, j, k, s):
-                    out.add((j, k, frozenset(s)))
-    return frozenset(out)
+    return frozenset(t for t in iter_triples(g.p) if d_separated(g, *t))
 
 
 def _markov_violations(g: Dag, ci: CiBackend):
@@ -124,12 +118,9 @@ def check_markov(g: Dag, ci: CiBackend) -> AssumptionReport:
 
 
 def _is_markov(g: Dag, ci: CiBackend) -> bool:
-    for j in range(g.p):
-        for k in range(j + 1, g.p):
-            for s in _pair_subsets(g.p, j, k):
-                if d_separated(g, j, k, s) and not ci.is_independent(j, k, s):
-                    return False
-    return True
+    return not any(
+        d_separated(g, *t) and not ci.is_independent(*t) for t in iter_triples(g.p)
+    )
 
 
 def check_smr(g_star: Dag, ci: CiBackend) -> AssumptionReport:
@@ -277,12 +268,7 @@ def check_p_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
         return _report(markov_problems)
 
     base = d_separation_set(g)
-    all_triples = [
-        (j, k, s)
-        for j in range(g.p)
-        for k in range(j + 1, g.p)
-        for s in _pair_subsets(g.p, j, k)
-    ]
+    all_triples = list(iter_triples(g.p))
 
     def violations():
         for cand in enumerate_all_dags(g.p):
@@ -294,9 +280,9 @@ def check_p_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
                     if not ci.is_independent(j, k, s):
                         preferred = False  # not Markov
                         break
-                    if (j, k, frozenset(s)) not in base:
+                    if (j, k, s) not in base:
                         strict = True
-                elif (j, k, frozenset(s)) in base:
+                elif (j, k, s) in base:
                     preferred = False  # lost one of g's separations
                     break
             if preferred and strict:

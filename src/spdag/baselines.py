@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .exceptions import CapacityError, MissingSepsetError
 from .graph import EquivClassPattern
-from .oracle import CiBackend
+from .oracle import CiBackend, _pair_subsets
 
 SKELETON_CAP = 12
 
@@ -91,15 +91,7 @@ def sgs_skeleton(ci: CiBackend):
     edges = set()
     sepsets = SepsetTable()
     for j, k in combinations(range(p), 2):
-        rest = [v for v in range(p) if v != j and v != k]
-        hit = None
-        for size in range(len(rest) + 1):
-            for s in combinations(rest, size):
-                if ci.is_independent(j, k, s):
-                    hit = s
-                    break
-            if hit is not None:
-                break
+        hit = next((s for s in _pair_subsets(p, j, k) if ci.is_independent(j, k, s)), None)
         if hit is None:
             edges.add((j, k))
         else:

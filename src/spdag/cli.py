@@ -13,7 +13,6 @@ columns, and bare covariance matrices fall back to 0-based indices.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -48,25 +47,12 @@ ASSUMPTIONS = {
     "triangle": assumptions.check_triangle_faithfulness,
     "sgs-min": assumptions.check_sgs_minimality,
     "p-min": assumptions.check_p_minimality,
+    "lambda-smr": assumptions.check_smr,
 }
 
 
 class UsageError(ValueError):
     """Bad argument combination or unreadable input."""
-
-
-def _covariance_names(path):
-    """Column names from a covariance CSV header, if one is present."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not any(f.strip() for f in row):
-                continue
-            try:
-                [float(f) for f in row]
-            except ValueError:
-                return [f.strip() for f in row]
-            return None
-    return None
 
 
 def _build_backend(args, *, allow_cholesky=False):
@@ -90,8 +76,7 @@ def _build_backend(args, *, allow_cholesky=False):
         cfg = TestConfig(alpha=args.alpha)
         return fisher_z_backend(data, cfg), lambda v: names[v]
 
-    sigma = load_covariance_csv(args.input)
-    names = _covariance_names(args.input)
+    sigma, names = load_covariance_csv(args.input)
     label = (lambda v: names[v]) if names else (lambda v: v)
     if kind == "gaussian":
         if args.tol is None:
@@ -200,16 +185,10 @@ def cmd_check(args) -> int:
     doc = load_dag_file(args.graph)
     label = lambda v: v + doc.label_base
     t0 = time.perf_counter()
-    if args.assumption == "lambda-smr":
-        if args.backend != "lambda":
-            raise UsageError("--assumption lambda-smr requires --backend lambda")
-        if args.lam is None:
-            raise UsageError("--assumption lambda-smr requires --lambda")
-        sigma = load_covariance_csv(args.input)
-        report = assumptions.check_lambda_strong_smr(doc.dag, sigma, args.lam)
-    else:
-        built, _ = _build_backend(args)
-        report = ASSUMPTIONS[args.assumption](doc.dag, caching_wrapper(built))
+    if args.assumption == "lambda-smr" and args.backend != "lambda":
+        raise UsageError("--assumption lambda-smr requires --backend lambda")
+    built, _ = _build_backend(args)
+    report = ASSUMPTIONS[args.assumption](doc.dag, caching_wrapper(built))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     out = {
         "assumption": args.assumption,
@@ -296,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--assumption",
         required=True,
-        choices=tuple(ASSUMPTIONS) + ("lambda-smr",),
+        choices=tuple(ASSUMPTIONS),
     )
     check.add_argument("--graph", required=True, help="candidate DAG text file")
     _add_backend_args(check, with_cholesky=False)

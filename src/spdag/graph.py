@@ -189,27 +189,25 @@ class Dag:
         return f"Dag(p={self._p}, edges={sorted(self._edges)})"
 
 
-def _vertex_mask(p: int, vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
+def _canonical_query(p: int, j: int, k: int, s: Iterable[int]) -> tuple[int, int, int]:
+    """Validate a query (j, k, s) over vertices 0..p-1.
+
+    Returns (min(j, k), max(j, k), s_mask), s as a bitmask.
+    """
+    j, k = int(j), int(k)
+    if not (0 <= j < p and 0 <= k < p):
+        raise ValueError(f"query pair ({j}, {k}) out of range for p={p}")
+    if j == k:
+        raise ValueError("queries need two distinct vertices")
+    s_mask = 0
+    for v in s:
         v = int(v)
         if not 0 <= v < p:
-            raise ValueError(f"vertex {v} out of range for p={p}")
-        mask |= 1 << v
-    return mask
-
-
-def _check_pair(g: Dag, j: int, k: int, s: Iterable[int]) -> int:
-    """Validate a separation query and return the conditioning bitmask."""
-    p = g.p
-    if not (0 <= j < p and 0 <= k < p):
-        raise ValueError(f"vertices ({j}, {k}) out of range for p={p}")
-    if j == k:
-        raise ValueError("separation queries need two distinct vertices")
-    s_mask = _vertex_mask(p, s)
-    if s_mask & ((1 << j) | (1 << k)):
+            raise ValueError(f"conditioning vertex {v} out of range for p={p}")
+        s_mask |= 1 << v
+    if s_mask & (1 << j | 1 << k):
         raise ValueError("conditioning set must exclude the queried pair")
-    return s_mask
+    return (j, k, s_mask) if j < k else (k, j, s_mask)
 
 
 def d_separated(g: Dag, j: int, k: int, s: Iterable[int] = ()) -> bool:
@@ -236,7 +234,11 @@ def d_separated(g: Dag, j: int, k: int, s: Iterable[int] = ()) -> bool:
     bool
         True when every trail between ``j`` and ``k`` is blocked by ``s``.
     """
-    s_mask = _check_pair(g, j, k, s)
+    return _d_separated(g, *_canonical_query(g.p, j, k, s))
+
+
+def _d_separated(g: Dag, j: int, k: int, s_mask: int) -> bool:
+    """d_separated on a valid query, with the conditioning set as a bitmask."""
     anc_mask = g._ancestral_mask(s_mask) if s_mask else 0
     parent_masks = g._parent_masks
     child_masks = g._child_masks

@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtri
 
 from .exceptions import NumericalError
-from .graph import Dag, _bits, d_separated
+from .graph import Dag, _bits, _canonical_query, _d_separated
 
 COLLINEAR_TOL = 1e-10
 
@@ -119,29 +119,18 @@ def _as_matrix(sigma) -> np.ndarray:
     return np.asarray(sigma, dtype=float)
 
 
-def _canonical_triple(p: int, j: int, k: int, s: Iterable[int]):
-    """Validate a query and return (min, max, frozen conditioning set)."""
-    j, k = int(j), int(k)
-    if not (0 <= j < p and 0 <= k < p):
-        raise ValueError(f"query pair ({j}, {k}) out of range for p={p}")
-    if j == k:
-        raise ValueError("independence queries need two distinct vertices")
-    s = frozenset(int(v) for v in s)
-    for v in s:
-        if not 0 <= v < p:
-            raise ValueError(f"conditioning vertex {v} out of range for p={p}")
-    if j in s or k in s:
-        raise ValueError("conditioning set must exclude the queried pair")
-    return (j, k, s) if j < k else (k, j, s)
+def _pair_subsets(p: int, j: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every conditioning set for the pair (j, k), by size then lexicographic order."""
+    rest = [v for v in range(p) if v != j and v != k]
+    for size in range(len(rest) + 1):
+        yield from combinations(rest, size)
 
 
 def iter_triples(p: int) -> Iterator[tuple[int, int, frozenset[int]]]:
     """All queries (j, k, S) with j < k, S by size then lexicographic order."""
     for j, k in combinations(range(p), 2):
-        rest = [v for v in range(p) if v != j and v != k]
-        for size in range(len(rest) + 1):
-            for s in combinations(rest, size):
-                yield j, k, frozenset(s)
+        for s in _pair_subsets(p, j, k):
+            yield j, k, frozenset(s)
 
 
 class CiBackend(ABC):
@@ -172,8 +161,7 @@ class DSepBackend(CiBackend):
         return self._g
 
     def is_independent(self, j, k, s=()):
-        j, k, s = _canonical_triple(self.p, j, k, s)
-        return d_separated(self._g, j, k, s)
+        return _d_separated(self._g, *_canonical_query(self.p, j, k, s))
 
 
 class ExplicitBackend(CiBackend):
@@ -189,20 +177,16 @@ class ExplicitBackend(CiBackend):
                 j, k, s = triple
             except (TypeError, ValueError):
                 raise ValueError(f"malformed triple {triple!r}") from None
-            canon.add(_canonical_triple(p, j, k, s))
+            canon.add(_canonical_query(p, j, k, s))
         self._p = p
-        self._triples = frozenset(canon)
+        self._keys = frozenset(canon)
 
     @property
     def p(self) -> int:
         return self._p
 
-    @property
-    def triples(self) -> frozenset:
-        return self._triples
-
     def is_independent(self, j, k, s=()):
-        return _canonical_triple(self._p, j, k, s) in self._triples
+        return _canonical_query(self._p, j, k, s) in self._keys
 
 
 def _standardize(moments) -> np.ndarray:
@@ -286,12 +270,11 @@ def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
         to the exception.
     """
     be = PartialCorrelationBackend(sigma, 0.0)
-    j, k, s = _canonical_triple(be.p, j, k, s)
-    rho = be._rho(j, k, s)
+    j, k, s_mask = _canonical_query(be.p, j, k, s)
+    rho = be._rho(j, k, s_mask)
     if not abs(rho) < 1:
-        raise NumericalError(
-            f"block over {sorted(s)} + ({j}, {k}) is collinear", subset=s
-        )
+        s = list(_bits(s_mask))
+        raise NumericalError(f"block over {s} + ({j}, {k}) is collinear", subset=s)
     return rho
 
 
@@ -325,11 +308,9 @@ class PartialCorrelationBackend(CiBackend):
         """How many vertex subsets have been inverted so far."""
         return len(self._table)
 
-    def _rho(self, j: int, k: int, s) -> float:
+    def _rho(self, j: int, k: int, s_mask: int) -> float:
         """rho of a canonical query from its subset's entry; NaN when collinear."""
-        mask = 1 << j | 1 << k
-        for v in s:
-            mask |= 1 << v
+        mask = s_mask | 1 << j | 1 << k
         inv = self._table[mask]
         if inv is None:
             return math.nan
@@ -347,18 +328,18 @@ class PartialCorrelationBackend(CiBackend):
     def _independent(self, t: float) -> bool:
         return t <= self._level if self._n is None else t < self._level
 
-    def _statistic(self, j, k, s) -> float:
-        return self._rule(self._rho(j, k, s), len(s))
+    def _statistic(self, j: int, k: int, s_mask: int) -> float:
+        return self._rule(self._rho(j, k, s_mask), s_mask.bit_count())
 
     def statistic(self, j, k, s=()) -> float:
         """The number the rule compares with the level; inf when collinear.
 
         That is |rho| without n and sqrt(n - |S| - 3) * |atanh(rho)| with n.
         """
-        return self._statistic(*_canonical_triple(self.p, j, k, s))
+        return self._statistic(*_canonical_query(self.p, j, k, s))
 
     def is_independent(self, j, k, s=()):
-        t = self._statistic(*_canonical_triple(self.p, j, k, s))
+        t = self._statistic(*_canonical_query(self.p, j, k, s))
         if t == math.inf:
             self.collinear_warnings += 1
             return False
@@ -481,16 +462,23 @@ def _sniff_header(first_line: str) -> bool:
     return False
 
 
-def load_covariance_csv(path) -> CovarianceMatrix:
-    """Read a p x p covariance from CSV; a non-numeric header row is skipped."""
+def load_covariance_csv(path) -> tuple[CovarianceMatrix, list[str] | None]:
+    """Read a p x p covariance from CSV.
+
+    A non-numeric first row is read as a header of variable names.
+    Returns (matrix, names), names being None when there is no header.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
     if not rows:
         raise ValueError(f"{path}: empty covariance file")
+    names = None
     if _sniff_header(",".join(rows[0])):
-        rows = rows[1:]
+        names = [f.strip() for f in rows.pop(0)]
     data = np.array([[float(f) for f in row] for row in rows], dtype=float)
-    return CovarianceMatrix(data)
+    if names is not None and len(names) != data.shape[-1]:
+        raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[-1]}")
+    return CovarianceMatrix(data), names
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -8,10 +8,14 @@ the minimum, grouped into equivalence classes.  Because a vertex's
 parents depend only on the set of vertices before it, the minimum over
 the p! orderings is found by a DP over the 2^p prefix sets.
 
-A Gaussian-only variant scores permutations by the fill of the upper
-unitriangular Cholesky factor of the permuted precision matrix instead of
-issuing conditional-independence queries; for an exact Gaussian oracle the
-two routes coincide.
+A Gaussian-only variant applies the paper's Cholesky theorem: the DAG an
+ordering induces is the nonzero pattern of the upper unitriangular
+Cholesky factor of the permuted precision matrix, so the sparsest ordering
+is the one with the least fill.  Column k of that factor holds the
+coefficients of regressing k on the vertices before it, which depend only
+on their set, so the same DP scores every ordering from one regression per
+(prefix set, vertex) without issuing conditional-independence queries; for
+an exact Gaussian oracle the two routes coincide.
 """
 
 from __future__ import annotations
@@ -20,14 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import CapacityError, NumericalError
 from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
 from .oracle import (
     CachingBackend,
     CiBackend,
-    CovarianceMatrix,
     PartialCorrelationBackend,
     _as_matrix,
     _standardize,
@@ -40,13 +42,10 @@ CHOL_TOL = 1e-7
 __all__ = [
     "CHOL_TOL",
     "PERMUTATION_CAP",
-    "CholeskyFactor",
     "SpResult",
     "build_dag_for_permutation",
-    "permuted_precision",
     "sp_search",
     "sp_search_cholesky",
-    "upper_cholesky",
 ]
 
 
@@ -93,29 +92,6 @@ class SpResult:
 
     def ordered_classes(self) -> list:
         return sorted(self.classes, key=EquivClassPattern.sort_key)
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """K = U @ diag(D) @ U.T with U upper unitriangular and D positive.
-
-    nonzero_mask flags the strict upper entries of U exceeding the
-    tolerance the factorization was run with.
-    """
-
-    U: np.ndarray
-    D: np.ndarray
-    nonzero_mask: np.ndarray
-
-    @property
-    def num_nonzero(self) -> int:
-        return int(self.nonzero_mask.sum())
-
-    def edges_for(self, pi) -> frozenset:
-        """Map masked entries (i, j), i<j, to edges pi(i) -> pi(j)."""
-        order = as_permutation(pi, len(self.D)).order
-        rows, cols = np.nonzero(self.nonzero_mask)
-        return frozenset((order[a], order[b]) for a, b in zip(rows, cols))
 
 
 def build_dag_for_permutation(pi, ci: CiBackend) -> Dag:
@@ -220,50 +196,6 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
         )
 
     return _sparsest(p, parents)
-
-
-def permuted_precision(sigma, pi) -> CovarianceMatrix:
-    """Invert the covariance and permute rows and columns by pi."""
-    m = _as_matrix(sigma)
-    order = as_permutation(pi, m.shape[0]).order
-    try:
-        k = cho_solve(cho_factor(m, lower=True), np.eye(m.shape[0]))
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"covariance failed to factor: {err}") from None
-    k = (k + k.T) / 2.0
-    idx = np.asarray(order)
-    return CovarianceMatrix(k[np.ix_(idx, idx)])
-
-
-def upper_cholesky(k, *, chol_tol: float = CHOL_TOL) -> CholeskyFactor:
-    """Factor an SPD matrix as U @ diag(D) @ U.T, U upper unitriangular.
-
-    Implemented by reversing row and column order, taking the standard
-    lower Cholesky factor, reversing back, and scaling columns by their
-    pivots.  Entries of U at or below chol_tol in magnitude are treated
-    as structural zeros in nonzero_mask.
-    """
-    m = _as_matrix(k)
-    p = m.shape[0]
-    rev = m[::-1, ::-1]
-    try:
-        low = np.linalg.cholesky(rev)
-    except np.linalg.LinAlgError:
-        raise NumericalError("matrix is not positive definite") from None
-    uprime = low[::-1, ::-1]
-    piv = np.diag(uprime).copy()
-    d = piv**2
-    u = uprime / piv[None, :]
-    recon = (u * d[None, :]) @ u.T
-    scale = np.abs(m).max()
-    if np.abs(recon - m).max() > 1e-8 * scale:
-        raise NumericalError("factor failed to reconstruct its input")
-    mask = np.triu(np.abs(u) > chol_tol, k=1)
-    u = u.copy()
-    u.flags.writeable = False
-    d.flags.writeable = False
-    mask.flags.writeable = False
-    return CholeskyFactor(U=u, D=d, nonzero_mask=mask)
 
 
 def sp_search_cholesky(

@@ -3,13 +3,22 @@
 Everything here favors being obviously correct over being fast: the
 separation oracle enumerates every simple trail and applies the blocking
 definition verbatim, graph enumeration filters raw adjacency matrices,
-and ordering enumeration filters raw permutations. Production code must
-agree with these on everything small enough to brute force.
+ordering enumeration filters raw permutations, and the Cholesky route is
+checked against a factorization of the whole permuted precision matrix,
+one ordering at a time. Production code must agree with these on
+everything small enough to brute force.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from spdag.graph import Dag
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from spdag.exceptions import NumericalError
+from spdag.graph import Dag, as_permutation
+from spdag.oracle import CovarianceMatrix
+from spdag.sp import CHOL_TOL
 
 
 def ancestral_closure(g: Dag, s) -> set:
@@ -125,10 +134,74 @@ def partial_corr_by_inverse(sigma, j, k, s=()):
     the normalized off-diagonal of the inverse, instead of forming a
     Schur complement.
     """
-    import numpy as np
-
     idx = sorted(set(s) | {j, k})
     sub = np.asarray(sigma, dtype=float)[np.ix_(idx, idx)]
     inv = np.linalg.inv(sub)
     a, b = idx.index(j), idx.index(k)
     return float(-inv[a, b] / np.sqrt(inv[a, a] * inv[b, b]))
+
+
+@dataclass(frozen=True)
+class CholeskyFactor:
+    """K = U @ diag(D) @ U.T with U upper unitriangular and D positive.
+
+    nonzero_mask flags the strict upper entries of U exceeding the
+    tolerance the factorization was run with.
+    """
+
+    U: np.ndarray
+    D: np.ndarray
+    nonzero_mask: np.ndarray
+
+    @property
+    def num_nonzero(self) -> int:
+        return int(self.nonzero_mask.sum())
+
+    def edges_for(self, pi) -> frozenset:
+        """Map masked entries (i, j), i<j, to edges pi(i) -> pi(j)."""
+        order = as_permutation(pi, len(self.D)).order
+        rows, cols = np.nonzero(self.nonzero_mask)
+        return frozenset((order[a], order[b]) for a, b in zip(rows, cols))
+
+
+def permuted_precision(sigma, pi) -> CovarianceMatrix:
+    """Invert the covariance and permute rows and columns by pi."""
+    m = np.asarray(sigma, dtype=float)
+    order = as_permutation(pi, m.shape[0]).order
+    try:
+        k = cho_solve(cho_factor(m, lower=True), np.eye(m.shape[0]))
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"covariance failed to factor: {err}") from None
+    k = (k + k.T) / 2.0
+    idx = np.asarray(order)
+    return CovarianceMatrix(k[np.ix_(idx, idx)])
+
+
+def upper_cholesky(k, *, chol_tol: float = CHOL_TOL) -> CholeskyFactor:
+    """Factor an SPD matrix as U @ diag(D) @ U.T, U upper unitriangular.
+
+    Implemented by reversing row and column order, taking the standard
+    lower Cholesky factor, reversing back, and scaling columns by their
+    pivots.  Entries of U at or below chol_tol in magnitude are treated
+    as structural zeros in nonzero_mask.
+    """
+    m = np.asarray(k, dtype=float)
+    rev = m[::-1, ::-1]
+    try:
+        low = np.linalg.cholesky(rev)
+    except np.linalg.LinAlgError:
+        raise NumericalError("matrix is not positive definite") from None
+    uprime = low[::-1, ::-1]
+    piv = np.diag(uprime).copy()
+    d = piv**2
+    u = uprime / piv[None, :]
+    recon = (u * d[None, :]) @ u.T
+    scale = np.abs(m).max()
+    if np.abs(recon - m).max() > 1e-8 * scale:
+        raise NumericalError("factor failed to reconstruct its input")
+    mask = np.triu(np.abs(u) > chol_tol, k=1)
+    u = u.copy()
+    u.flags.writeable = False
+    d.flags.writeable = False
+    mask.flags.writeable = False
+    return CholeskyFactor(U=u, D=d, nonzero_mask=mask)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from spdag.exceptions import NumericalError
-from spdag.graph import Dag
+from spdag.graph import Dag, d_separated
 from spdag.oracle import (
     CovarianceMatrix,
     TestConfig,
@@ -520,6 +520,10 @@ class TestCachingWrapper:
     ])
     def test_invalid_queries_raise_through_the_cache(self, bad):
         sig = covariance_of(random_sem_pool(113, 1, p_values=(4,))[0])
+        with pytest.raises(ValueError):
+            d_separated(FOUR_CYCLE, *bad)
+        with pytest.raises(ValueError):
+            partial_correlation(sig, *bad)
         for inner in (
             dsep_backend(FOUR_CYCLE),
             explicit_backend(4, [(0, 1, (2,))]),
@@ -539,11 +543,17 @@ class TestCachingWrapper:
 class TestCsvLoaders:
     def test_covariance_with_and_without_header(self, tmp_path):
         path = tmp_path / "cov.csv"
-        path.write_text("a,b\n1.0,0.3\n0.3,1.0\n")
-        m = load_covariance_csv(path)
+        path.write_text("a, b\n1.0,0.3\n0.3,1.0\n")
+        m, names = load_covariance_csv(path)
         assert m.p == 2
+        assert names == ["a", "b"]
         path.write_text("1.0,0.3\n0.3,1.0\n")
-        assert np.allclose(np.asarray(load_covariance_csv(path)), np.asarray(m))
+        bare, names = load_covariance_csv(path)
+        assert names is None
+        assert np.allclose(np.asarray(bare), np.asarray(m))
+        path.write_text("a,b\n1.0,0.3,0.1\n0.3,1.0,0.2\n0.1,0.2,1.0\n")
+        with pytest.raises(ValueError, match="header width 2 != data width 3"):
+            load_covariance_csv(path)
 
     def test_samples_with_header(self, tmp_path):
         path = tmp_path / "data.csv"

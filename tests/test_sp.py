@@ -31,13 +31,10 @@ from spdag.oracle import (
 )
 from spdag.sem import GenConfig, LinearSem, covariance_of, precision_of, random_sem, sample
 from spdag.sp import (
-    CholeskyFactor,
     SpResult,
     build_dag_for_permutation,
-    permuted_precision,
     sp_search,
     sp_search_cholesky,
-    upper_cholesky,
 )
 
 from corpus import (
@@ -50,6 +47,7 @@ from corpus import (
     random_dag_pool,
     random_sem_pool,
 )
+from reference import permuted_precision, upper_cholesky
 
 
 def brute_force_scan(ci, shuffle_seed=None):
@@ -402,6 +400,26 @@ class TestSpSearchCholesky:
         assert r.min_edges == 4
         assert r.unique_class
         assert r.classes == frozenset({pattern_of(FOUR_CYCLE)})
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 6),
+        nbhd=st.sampled_from((0.5, 1.0, 2.0)),
+    )
+    def test_fill_of_every_ordering_matches_the_reference(self, seed, p, nbhd):
+        # The theorem one ordering at a time: the fill of the factor of the
+        # permuted precision, mapped through pi, is the DAG pi induces, and
+        # the orderings of least fill give the winners of the DP.
+        sem = random_sem(GenConfig(p=p, expected_nbhd=min(nbhd, p - 1)), np.random.default_rng(seed))
+        sigma = covariance_of(sem)
+        ci = gaussian_exact_backend(sigma)
+        by_fill = {}
+        for pi in itertools.permutations(range(p)):
+            g = Dag(p, upper_cholesky(permuted_precision(sigma, pi)).edges_for(pi))
+            assert g == build_dag_for_permutation(pi, ci)
+            by_fill.setdefault(g.num_edges, set()).add(g)
+        assert sp_search_cholesky(sigma).winners == by_fill[min(by_fill)]
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
