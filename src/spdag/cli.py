@@ -22,7 +22,7 @@ import numpy as np
 from . import assumptions
 from .baselines import pc_pattern, sgs_pattern
 from .exceptions import CapacityError, DagTextError, NumericalError
-from .graph import Dag, EquivClassPattern, load_dag_file
+from .graph import Dag, EquivClassPattern, _bits, _mask_rows, load_dag_file
 from .oracle import (
     TestConfig,
     caching_wrapper,
@@ -125,9 +125,22 @@ def _write_json(doc, out):
 
 
 def _search_json(result, label, wall_ms, collinear):
+    # Row j of a winner's edge mask holds the children of j, so its rows'
+    # edges in turn are its sorted edge list.  Winners share rows, and
+    # each distinct row's edges are built once.
+    built = [{} for _ in range(result.p)]
+
+    def edge_list(mask):
+        out = []
+        for j, r in enumerate(_mask_rows(result.p, mask)):
+            if r not in built[j]:
+                built[j][r] = [[label(j), label(k)] for k in _bits(r)]
+            out += built[j][r]
+        return out
+
     return {
         "min_edges": result.min_edges,
-        "winners": [_edge_list(g.edges, label) for g in result.ordered_winners()],
+        "winners": [edge_list(m) for m in result.ordered_masks()],
         "classes": [_pattern_json(c, label) for c in result.ordered_classes()],
         "unique_class": result.unique_class,
         "permutations_scanned": result.permutations_scanned,
@@ -150,7 +163,7 @@ def cmd_learn(args) -> int:
     _write_json(_search_json(result, label, wall_ms, collinear), args.out)
     kind = "class" if result.unique_class else "classes"
     print(
-        f"minimum {result.min_edges} edges, {len(result.winners)} optimal "
+        f"minimum {result.min_edges} edges, {len(result.masks)} optimal "
         f"DAGs in {len(result.classes)} equivalence {kind} "
         f"({result.permutations_scanned} orderings scanned)"
     )

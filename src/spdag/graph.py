@@ -9,7 +9,9 @@ serialization.
 
 Vertex sets are passed around as ordinary iterables of ints. Internally
 most routines work on bitmasks, which keeps the hot paths (d-separation
-inside search loops) allocation free.
+inside search loops) allocation free. A whole edge set can be one int as
+well, an edge mask with bit j*p + k for the edge j -> k: the form in
+which the ordering search carries its winners.
 """
 
 from __future__ import annotations
@@ -58,6 +60,70 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_rows(p: int, mask: int) -> list[int]:
+    """Rows of an edge mask over p vertices, where bit j*p + k is the edge j -> k.
+
+    Row j is the bitmask of j's children; the rows of the transposed mask
+    (:func:`_transpose`) are the parent bitmasks.
+    """
+    row = (1 << p) - 1
+    return [mask >> j * p & row for j in range(p)]
+
+
+@lru_cache(maxsize=None)
+def _diagonals(p: int) -> tuple[tuple[int, int], ...]:
+    """(d*(p-1), bits j*p + k with k - j = d) for each offset d = 1..p-1."""
+    return tuple(
+        (d * (p - 1), sum(1 << (j * (p + 1) + d) for j in range(p - d))) for d in range(1, p)
+    )
+
+
+def _transpose(p: int, mask: int) -> int:
+    """The edge mask with every edge reversed: bit j*p + k moves to k*p + j.
+
+    An edge d places above the diagonal moves d*(p-1) bits up and one d
+    places below moves as far down; self-loop bits on the diagonal drop.
+    """
+    out = 0
+    for shift, diag in _diagonals(p):
+        out |= (mask & diag) << shift | mask >> shift & diag
+    return out
+
+
+def _unpeeled(child_masks: Sequence[int]) -> int:
+    """Vertices left after repeatedly removing sinks: 0 exactly when acyclic.
+
+    What is left lies on a directed cycle or leads into one.
+    """
+    left = (1 << len(child_masks)) - 1
+    while left:
+        sinks = 0
+        for v, children in enumerate(child_masks):
+            if not children & left:
+                sinks |= 1 << v
+        sinks &= left
+        if not sinks:
+            return left
+        left ^= sinks
+    return 0
+
+
+def _colliders(child_masks: Sequence[int], adj_masks: Sequence[int]) -> tuple:
+    """(j, k, common children) for each nonadjacent pair j < k that has any.
+
+    Each common child l is a v-structure j -> l <- k; the tuple is the
+    collider part of the equivalence class pattern, in a canonical order.
+    """
+    full = (1 << len(child_masks)) - 1
+    out = []
+    for j, cj in enumerate(child_masks):
+        for k in _bits(full & ~adj_masks[j] & -(2 << j)):  # k > j, nonadjacent
+            common = cj & child_masks[k]
+            if common:
+                out.append((j, k, common))
+    return tuple(out)
+
+
 class Dag:
     """A directed acyclic graph on vertices ``0..p-1``.
 
@@ -101,23 +167,22 @@ class Dag:
         self._parent_masks = tuple(parent_masks)
         self._child_masks = tuple(child_masks)
         self._hash = hash((p, edge_set))
-        self._check_acyclic()
+        stuck = _unpeeled(self._child_masks)
+        if stuck:
+            raise CycleError(
+                f"edge set contains a directed cycle through {list(_bits(stuck))}"
+            )
 
-    def _check_acyclic(self) -> None:
-        # Kahn peeling on bitmasks; leftovers witness a cycle.
-        indeg = [m.bit_count() for m in self._parent_masks]
-        ready = [v for v in range(self._p) if indeg[v] == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for c in _bits(self._child_masks[v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if seen != self._p:
-            stuck = sorted(v for v in range(self._p) if indeg[v] > 0)
-            raise CycleError(f"edge set contains a directed cycle through {stuck}")
+    @classmethod
+    def _from_mask(cls, p: int, mask: int) -> "Dag":
+        """The graph of an edge mask (see :func:`_mask_rows`), trusted to be acyclic."""
+        g = cls.__new__(cls)
+        g._p = p
+        g._edges = frozenset(divmod(b, p) for b in _bits(mask))
+        g._parent_masks = tuple(_mask_rows(p, _transpose(p, mask)))
+        g._child_masks = tuple(_mask_rows(p, mask))
+        g._hash = hash((p, g._edges))
+        return g
 
     @property
     def p(self) -> int:
@@ -279,12 +344,11 @@ def skeleton(g: Dag) -> frozenset[tuple[int, int]]:
 
 def v_structures(g: Dag) -> frozenset[tuple[int, int, int]]:
     """Collider triples j -> l <- k with j, k nonadjacent, as (j, l, k), j < k."""
-    out = set()
-    for ell in range(g.p):
-        for j, k in combinations(sorted(g.parents(ell)), 2):
-            if not g.adjacent(j, k):
-                out.add((j, ell, k))
-    return frozenset(out)
+    child = g._child_masks
+    adj = [c | q for c, q in zip(child, g._parent_masks)]
+    return frozenset(
+        (j, ell, k) for j, k, common in _colliders(child, adj) for ell in _bits(common)
+    )
 
 
 def unshielded_triples(g: Dag) -> frozenset[tuple[int, int, int]]:

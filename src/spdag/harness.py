@@ -274,9 +274,8 @@ def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> li
         unique = None
         if method == "sp":
             res = sp_search(backend)
-            found = frozenset()
-            for g in res.winners:
-                found |= skeleton(g)
+            # a class fixes the skeleton, so no winner Dag is built
+            found = frozenset().union(*(c.skeleton for c in res.classes))
             unique = res.unique_class
         elif method == "sgs":
             found, _ = sgs_skeleton(backend)

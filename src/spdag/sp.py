@@ -16,17 +16,35 @@ coefficients of regressing k on the vertices before it, which depend only
 on their set, so the same DP scores every ordering from one regression per
 (prefix set, vertex) without issuing conditional-independence queries; for
 an exact Gaussian oracle the two routes coincide.
+
+A dense model has many sparsest orderings (all p! for a complete DAG),
+so winners travel as int edge masks, bit j*p + k standing for the edge
+j -> k: the DP extends a winner by OR-ing in the parents a step adds,
+SpResult checks the masks and sorts them into classes with bit
+operations, and Dag objects are built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import CapacityError, NumericalError
-from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
+from .graph import (
+    CycleError,
+    Dag,
+    EquivClassPattern,
+    _bits,
+    _colliders,
+    _mask_rows,
+    _transpose,
+    _unpeeled,
+    as_permutation,
+    pattern_of,
+)
 from .oracle import (
     CachingBackend,
     CiBackend,
@@ -53,27 +71,49 @@ __all__ = [
 class SpResult:
     """Outcome of a full scan over the permutation space.
 
-    winners holds every minimal DAG (deduplicated as labeled graphs).
-    Everything else is read off them: min_edges is their common edge
-    count, classes the equivalence classes they fall into, and
-    permutations_scanned the size of the searched space, p!.
+    masks holds every minimal DAG over vertices 0..p-1 (deduplicated as
+    labeled graphs) as an int edge mask, bit j*p + k standing for the
+    edge j -> k; p is kept because the empty graph's mask does not show
+    it.  Everything else is read off them: min_edges is their common
+    edge count, classes the equivalence classes they fall into,
+    permutations_scanned the size of the searched space, p!, and
+    winners the same graphs as Dag objects, built on first access.
     """
 
-    winners: frozenset
+    p: int
+    masks: frozenset
 
     def __post_init__(self):
-        winners = frozenset(self.winners)
-        if not winners:
+        p, masks = self.p, frozenset(self.masks)
+        if not masks:
             raise ValueError("a scan always produces at least one winner")
-        counts = {g.num_edges for g in winners}
+        counts = {m.bit_count() for m in masks}
         if len(counts) > 1:
             raise ValueError(f"winners differ in edge count: {sorted(counts)}")
-        object.__setattr__(self, "winners", winners)
-        object.__setattr__(self, "_classes", frozenset(pattern_of(g) for g in winners))
+        if min(masks) < 0 or max(masks) >> p * p:
+            raise ValueError(f"edge mask out of range for p={p}")
+        # Two winners share a class exactly when they share the skeleton (the
+        # mask with each edge in both directions) and the common children of
+        # each nonadjacent pair, so pattern_of runs once per class.
+        reps = {}
+        for m in masks:
+            child = _mask_rows(p, m)
+            if _unpeeled(child):
+                raise CycleError(f"winner {sorted(divmod(b, p) for b in _bits(m))} has a cycle")
+            both = m | _transpose(p, m)
+            reps.setdefault((both, _colliders(child, _mask_rows(p, both))), m)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(
+            self, "_classes", frozenset(pattern_of(Dag._from_mask(p, m)) for m in reps.values())
+        )
+
+    @cached_property
+    def winners(self) -> frozenset:
+        return frozenset(Dag._from_mask(self.p, m) for m in self.masks)
 
     @property
     def min_edges(self) -> int:
-        return next(iter(self.winners)).num_edges
+        return next(iter(self.masks)).bit_count()
 
     @property
     def classes(self) -> frozenset:
@@ -85,10 +125,21 @@ class SpResult:
 
     @property
     def permutations_scanned(self) -> int:
-        return math.factorial(next(iter(self.winners)).p)
+        return math.factorial(self.p)
+
+    def ordered_masks(self) -> list:
+        """The masks in the order of their sorted (j, k) edge lists.
+
+        Such a list is the mask's bits in ascending order.  As every mask
+        has the same edge count, the list that first holds an edge the
+        other lacks sorts first: the one whose bit string, read from bit
+        0 up, is the larger.
+        """
+        width = f"0{self.p * self.p}b"
+        return sorted(self.masks, key=lambda m: format(m, width)[::-1], reverse=True)
 
     def ordered_winners(self) -> list:
-        return sorted(self.winners, key=lambda g: sorted(g.edges))
+        return [Dag._from_mask(self.p, m) for m in self.ordered_masks()]
 
     def ordered_classes(self) -> list:
         return sorted(self.classes, key=EquivClassPattern.sort_key)
@@ -125,10 +176,11 @@ def _sparsest(p: int, parents) -> SpResult:
     vertices before it, so parents(mask, k) scores appending k to the
     prefix set mask and the minimum over all p! orderings is a DP over
     the 2^p prefix sets (the exact order DP of Silander and Myllymaki).
-    Every tying step is kept; the prefixes lying on an optimal ordering
-    are then marked backwards from the full set, and the winning edge
-    sets are built forwards over them one prefix size at a time, so a
-    winner reached by many orderings is held once.
+    Every tying step is kept, as (previous prefix, edge mask of the
+    added parents); the prefixes lying on an optimal ordering are then
+    marked backwards from the full set, and the winners' edge masks are
+    built forwards over them one prefix size at a time, each extension
+    a single OR, so a winner reached by many orderings is held once.
     """
     full = (1 << p) - 1
     best = [0] + [math.inf] * full
@@ -137,14 +189,17 @@ def _sparsest(p: int, parents) -> SpResult:
         for k in range(p):
             if mask >> k & 1:
                 continue
-            added = frozenset((j, k) for j in parents(mask, k))
+            found = parents(mask, k)
             nxt = mask | 1 << k
-            count = best[mask] + len(added)
+            count = best[mask] + len(found)
+            if count > best[nxt]:
+                continue
+            step = (mask, sum(1 << (j * p + k) for j in found))
             if count < best[nxt]:
                 best[nxt] = count
-                steps[nxt] = [(mask, added)]
-            elif count == best[nxt]:
-                steps[nxt].append((mask, added))
+                steps[nxt] = [step]
+            else:
+                steps[nxt].append(step)
 
     by_size: list = [[] for _ in range(p + 1)]
     on_path = {full}
@@ -153,13 +208,13 @@ def _sparsest(p: int, parents) -> SpResult:
             by_size[bin(mask).count("1")].append(mask)
             on_path.update(prev for prev, _ in steps[mask])
 
-    level = {0: {frozenset()}}
+    level = {0: {0}}
     for masks in by_size[1:]:
         level = {
             mask: {edges | added for prev, added in steps[mask] for edges in level[prev]}
             for mask in masks
         }
-    return SpResult(frozenset(Dag(p, edges) for edges in level[full]))
+    return SpResult(p, frozenset(level[full]))
 
 
 def _check_cap(p: int, max_p: int) -> None:

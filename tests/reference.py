@@ -3,7 +3,8 @@
 Everything here favors being obviously correct over being fast: the
 separation oracle enumerates every simple trail and applies the blocking
 definition verbatim, graph enumeration filters raw adjacency matrices,
-ordering enumeration filters raw permutations, and the Cholesky route is
+ordering enumeration filters raw permutations, equivalence class
+patterns are read off edge tuples pair by pair, and the Cholesky route is
 checked against a factorization of the whole permuted precision matrix,
 one ordering at a time. Production code must agree with these on
 everything small enough to brute force.
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from spdag.exceptions import NumericalError
-from spdag.graph import Dag, as_permutation
+from spdag.graph import Dag, EquivClassPattern, as_permutation
 from spdag.oracle import CovarianceMatrix
 from spdag.sp import CHOL_TOL
 
@@ -125,6 +126,22 @@ def all_dags_brute(p: int):
         if nx.is_directed_acyclic_graph(dg):
             found.add(frozenset(edges))
     return found
+
+
+def pattern_by_triples(g: Dag) -> EquivClassPattern:
+    """Skeleton and v-structures of g, read off its edge tuples.
+
+    The skeleton sorts each edge's endpoints; a v-structure is every pair
+    of parents of a vertex that is not itself an edge in either direction.
+    """
+    skel = frozenset((min(j, k), max(j, k)) for j, k in g.edges)
+    vees = set()
+    for ell in range(g.p):
+        parents = sorted(j for j, k in g.edges if k == ell)
+        for j, k in combinations(parents, 2):
+            if (j, k) not in skel:
+                vees.add((j, ell, k))
+    return EquivClassPattern(skel, frozenset(vees))
 
 
 def partial_corr_by_inverse(sigma, j, k, s=()):

@@ -11,7 +11,7 @@ import pytest
 from corpus import edge_cancellation_sem
 from spdag.cli import main
 from spdag.graph import Dag, format_dag_text
-from spdag.sem import GenConfig, covariance_of, random_sem, sample
+from spdag.sem import GenConfig, LinearSem, covariance_of, random_sem, sample
 
 COLLIDER = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
@@ -62,6 +62,27 @@ class TestLearn:
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
         for key in ("min_edges", "winners", "classes", "unique_class"):
             assert da[key] == db[key]
+
+    def test_dense_routes_write_every_winner_in_order(self, tmp_path):
+        # a complete DAG on 6 vertices: all 720 orderings induce a winner
+        rng = np.random.default_rng(6)
+        edges = [(j, k) for j in range(6) for k in range(j + 1, 6)]
+        weights = {e: rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0)) for e in edges}
+        cov = tmp_path / "dense.csv"
+        np.savetxt(cov, np.asarray(covariance_of(LinearSem(Dag(6, edges), weights))),
+                   delimiter=",")
+        docs = []
+        for backend in ("gaussian", "cholesky"):
+            out = tmp_path / f"{backend}.json"
+            run_ok(["learn", "--backend", backend, "--input", cov, "--out", out])
+            doc = json.loads(out.read_text())
+            assert len(doc["winners"]) == 720
+            assert all(w == sorted(w) for w in doc["winners"])
+            assert doc["winners"] == sorted(doc["winners"])
+            docs.append(doc)
+        for key in ("min_edges", "classes", "unique_class"):
+            assert docs[0][key] == docs[1][key]
+        assert docs[0]["unique_class"] is True
 
     def test_fisher_uses_header_names(self, sem_files, tmp_path):
         sem, _, _ = sem_files

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from spdag.baselines import pc_skeleton, sgs_skeleton
 from spdag.exceptions import CapacityError, NumericalError
 from spdag.graph import (
+    CycleError,
     Dag,
     Permutation,
     d_separated,
@@ -47,7 +49,12 @@ from corpus import (
     random_dag_pool,
     random_sem_pool,
 )
-from reference import permuted_precision, upper_cholesky
+from reference import pattern_by_triples, permuted_precision, upper_cholesky
+
+
+def mask_of(g):
+    """The edge mask of g: bit j*p + k for each edge j -> k."""
+    return sum(1 << (j * g.p + k) for j, k in g.edges)
 
 
 def brute_force_scan(ci, shuffle_seed=None):
@@ -62,7 +69,15 @@ def brute_force_scan(ci, shuffle_seed=None):
             best, winners = g.num_edges, {g}
         elif g.num_edges == best:
             winners.add(g)
-    return SpResult(frozenset(winners))
+    return SpResult(ci.p, frozenset(mask_of(g) for g in winners))
+
+
+def complete_sem(p, seed):
+    """A linear model on the complete DAG 0 -> 1 -> ... -> p-1 with random weights."""
+    rng = np.random.default_rng(seed)
+    edges = list(itertools.combinations(range(p), 2))
+    weights = {e: rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0)) for e in edges}
+    return LinearSem(Dag(p, edges), weights)
 
 
 def random_explicit_backends(seed, count, p=4, density=0.3):
@@ -211,15 +226,60 @@ class TestSpSearch:
         assert r.min_edges == 3  # complete graph: nothing is independent
 
     def test_result_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SpResult(frozenset())
-        with pytest.raises(ValueError):
-            SpResult(frozenset({Dag(3, [(0, 1)]), Dag(3, [(0, 1), (1, 2)])}))
-        r = SpResult(frozenset({Dag(3, [(0, 1)]), Dag(3, [(1, 2)])}))
+        with pytest.raises(ValueError, match="at least one winner"):
+            SpResult(3, frozenset())
+        with pytest.raises(ValueError, match="edge count"):
+            SpResult(3, frozenset({mask_of(Dag(3, [(0, 1)])), mask_of(Dag(3, [(0, 1), (1, 2)]))}))
+        with pytest.raises(CycleError):
+            SpResult(2, frozenset({1 << 0 * 2 + 1 | 1 << 1 * 2 + 0}))  # 0 -> 1 -> 0
+        with pytest.raises(CycleError):
+            SpResult(3, frozenset({1 << 1 * 3 + 1}))  # self loop at 1
+        with pytest.raises(ValueError, match="out of range"):
+            SpResult(2, frozenset({1 << 4}))
+        r = SpResult(3, frozenset({mask_of(Dag(3, [(0, 1)])), mask_of(Dag(3, [(1, 2)]))}))
         assert r.min_edges == 1
+        assert r.winners == {Dag(3, [(0, 1)]), Dag(3, [(1, 2)])}
         assert r.classes == {pattern_of(g) for g in r.winners}
         assert r.unique_class is False
         assert r.permutations_scanned == 6
+        assert r == SpResult(3, r.masks)
+        # the empty graph's mask is 0 for every p
+        assert SpResult(3, frozenset({0})) != SpResult(4, frozenset({0}))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(p=st.integers(1, 7), data=st.data())
+    def test_mask_patterns_match_the_reference(self, p, data):
+        # Orient one random skeleton by several random orderings: the graphs
+        # share an edge count, and the result's classes, built from one
+        # mask key per winner, are the reference patterns of the graphs.
+        pairs = list(itertools.combinations(range(p), 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        orders = data.draw(st.lists(st.permutations(range(p)), min_size=1, max_size=6))
+        dags = set()
+        for order in orders:
+            pos = {v: i for i, v in enumerate(order)}
+            dags.add(Dag(p, [(j, k) if pos[j] < pos[k] else (k, j) for j, k in chosen]))
+        for g in dags:
+            assert pattern_of(g) == pattern_by_triples(g)
+        with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy:
+            r = SpResult(p, frozenset(mask_of(g) for g in dags))
+        assert r.classes == {pattern_by_triples(g) for g in dags}
+        assert spy.call_count == len(r.classes)
+        assert r.winners == dags
+        for w in r.winners:  # built from masks, unchecked: same adjacency as checked
+            g = Dag(p, w.edges)
+            assert all(w.parents(v) == g.parents(v) and w.children(v) == g.children(v)
+                       for v in range(p))
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_complete_dag_has_every_ordering_as_a_winner(self, p):
+        sigma = covariance_of(complete_sem(p, seed=p))
+        for r in (sp_search(gaussian_exact_backend(sigma)), sp_search_cholesky(sigma)):
+            assert len(r.masks) == math.factorial(p)
+            assert r.min_edges == math.comb(p, 2)
+            assert r.unique_class
+            ordered = [sorted(g.edges) for g in r.ordered_winners()]
+            assert ordered == sorted(sorted(g.edges) for g in r.winners)
 
 
 class TestSubsetTable:
