@@ -60,7 +60,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    holds: bool
+    """Up to MAX_WITNESSES counterexamples and how many there were in all.
+
+    The assumption holds exactly when there were none.
+    """
+
     witnesses: tuple
     total_violations: int
 
@@ -70,10 +74,12 @@ class AssumptionReport:
             raise ValueError(f"witness list capped at {MAX_WITNESSES}")
         if self.total_violations < len(self.witnesses):
             raise ValueError("total_violations cannot undercount the witnesses")
-        if self.holds != (self.total_violations == 0):
-            raise ValueError("holds must mean zero violations")
-        if self.holds != (not self.witnesses):
-            raise ValueError("a holding report carries no witnesses")
+        if self.total_violations and not self.witnesses:
+            raise ValueError("a failing report carries a witness")
+
+    @property
+    def holds(self) -> bool:
+        return self.total_violations == 0
 
 
 def _report(violations) -> AssumptionReport:
@@ -82,7 +88,7 @@ def _report(violations) -> AssumptionReport:
         total += 1
         if len(kept) < MAX_WITNESSES:
             kept.append(w)
-    return AssumptionReport(holds=total == 0, witnesses=tuple(kept), total_violations=total)
+    return AssumptionReport(witnesses=tuple(kept), total_violations=total)
 
 
 def _guard(p: int, cap: int, what: str) -> None:
@@ -199,7 +205,7 @@ def check_restricted_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     ori = check_orientation_faithfulness(g, ci)
     kept = (adj.witnesses + ori.witnesses)[:MAX_WITNESSES]
     total = adj.total_violations + ori.total_violations
-    return AssumptionReport(holds=total == 0, witnesses=kept, total_violations=total)
+    return AssumptionReport(witnesses=kept, total_violations=total)
 
 
 def check_triangle_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:

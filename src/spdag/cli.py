@@ -55,15 +55,13 @@ class UsageError(ValueError):
     """Bad argument combination or unreadable input."""
 
 
-def _build_backend(args, *, allow_cholesky=False):
+def _build_backend(args):
     """Resolve --backend/--input into (ci_backend_or_matrix, label_fn).
 
-    The cholesky route returns the covariance itself since the search
-    consumes the matrix, not a query interface.
+    The cholesky route, which only learn offers, returns the covariance
+    itself since the search consumes the matrix, not a query interface.
     """
     kind = args.backend
-    if kind == "cholesky" and not allow_cholesky:
-        raise UsageError("--backend cholesky only applies to the learn command")
     if kind == "dsep":
         doc = load_dag_file(args.input)
         base = doc.label_base
@@ -150,7 +148,7 @@ def _search_json(result, label, wall_ms, collinear):
 
 
 def cmd_learn(args) -> int:
-    built, label = _build_backend(args, allow_cholesky=True)
+    built, label = _build_backend(args)
     t0 = time.perf_counter()
     if args.backend == "cholesky":
         tol = args.tol if args.tol is not None else CHOL_TOL

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from typing import NamedTuple
 
@@ -166,17 +166,7 @@ class GridResult:
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    known = {
-        "p_list",
-        "n_list",
-        "alpha_list",
-        "nbhd_list",
-        "trials",
-        "master_seed",
-        "methods",
-        "mode",
-    }
-    extra = set(doc) - known
+    extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     return ExperimentConfig(**doc)
@@ -255,7 +245,7 @@ def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> li
     ss = _trial_seed(cfg, cell, trial)
     seed_id = int(ss.generate_state(1, np.uint64)[0])
     rng = np.random.default_rng(ss)
-    gen = GenConfig(p=cell.p, expected_nbhd=cell.nbhd, n=cell.n)
+    gen = GenConfig(p=cell.p, expected_nbhd=cell.nbhd)
     sem = random_sem(gen, rng)
     truth = skeleton(sem.dag)
 
@@ -354,6 +344,13 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
     )
 
 
+METRICS = (
+    ("recovered", lambda r: r.skeleton_recovered),
+    ("extra_edges", lambda r: r.extra_edges > 0),
+    ("missing_edges", lambda r: r.missing_edges > 0),
+)
+
+
 def aggregate_rows(result: GridResult) -> list:
     """Long-format proportions: one row per cell, method, and metric."""
     buckets: dict = {}
@@ -363,20 +360,8 @@ def aggregate_rows(result: GridResult) -> list:
     rank = {m: i for i, m in enumerate(METHODS)}
     for key in sorted(buckets, key=lambda k: (k[0], k[1], k[2], k[3], rank[k[4]])):
         group = buckets[key]
-        total = len(group)
-        p, n, alpha, nbhd, method = key
-        rows.append(
-            (p, n, alpha, nbhd, method, "recovered",
-             sum(r.skeleton_recovered for r in group) / total)
-        )
-        rows.append(
-            (p, n, alpha, nbhd, method, "extra_edges",
-             sum(r.extra_edges > 0 for r in group) / total)
-        )
-        rows.append(
-            (p, n, alpha, nbhd, method, "missing_edges",
-             sum(r.missing_edges > 0 for r in group) / total)
-        )
+        for metric, hit in METRICS:
+            rows.append((*key, metric, sum(hit(r) for r in group) / len(group)))
     return rows
 
 
@@ -393,6 +378,7 @@ TRIAL_FIELDS = (
     "missing_edges",
     "sp_unique_class",
 )
+TIMING_FIELDS = ("p", "n", "alpha", "nbhd", "trial", "method")
 
 
 def _fmt(value) -> str:
@@ -415,19 +401,9 @@ def write_trials_csv(result: GridResult, path) -> None:
 def write_timings_csv(result: GridResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("p", "n", "alpha", "nbhd", "trial", "method", "wall_time_ms"))
+        w.writerow((*TIMING_FIELDS, "wall_time_ms"))
         for r in result.records:
-            w.writerow(
-                [
-                    r.p,
-                    r.n,
-                    r.alpha,
-                    r.nbhd,
-                    r.trial,
-                    r.method,
-                    f"{r.wall_time_ms:.3f}",
-                ]
-            )
+            w.writerow([getattr(r, name) for name in TIMING_FIELDS] + [f"{r.wall_time_ms:.3f}"])
 
 
 def write_aggregate_csv(rows, path) -> None:
@@ -439,34 +415,14 @@ def write_aggregate_csv(rows, path) -> None:
 
 
 def write_summary_json(result: GridResult, rows, path) -> None:
-    cfg = result.config
     per_cell: dict = {}
     for p, n, alpha, nbhd, method, metric, value in rows:
         key = f"p={p} n={n} alpha={alpha} nbhd={nbhd}"
         per_cell.setdefault(key, {}).setdefault(method, {})[metric] = value
     doc = {
-        "config": {
-            "p_list": list(cfg.p_list),
-            "n_list": list(cfg.n_list),
-            "alpha_list": list(cfg.alpha_list),
-            "nbhd_list": list(cfg.nbhd_list),
-            "trials": cfg.trials,
-            "master_seed": cfg.master_seed,
-            "methods": list(cfg.methods),
-            "mode": cfg.mode,
-        },
+        "config": asdict(result.config),
         "cells": per_cell,
-        "skipped": [
-            {
-                "p": s.p,
-                "n": s.n,
-                "alpha": s.alpha,
-                "nbhd": s.nbhd,
-                "method": s.method,
-                "reason": s.reason,
-            }
-            for s in result.skips
-        ],
+        "skipped": [s._asdict() for s in result.skips],
         "record_count": len(result.records),
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -74,8 +74,9 @@ class TestConfig:
 class CovarianceMatrix:
     """A validated symmetric positive-definite matrix.
 
-    Construction symmetrizes within a 1e-12 relative tolerance, confirms
-    positive definiteness by factorizing, and freezes the entries.
+    Construction rejects a NaN or infinite entry, symmetrizes within a
+    1e-12 relative tolerance, confirms positive definiteness by
+    factorizing, and freezes the entries.
     """
 
     __slots__ = ("_values",)
@@ -84,6 +85,7 @@ class CovarianceMatrix:
         a = np.array(values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        _check_finite(a)
         scale = max(float(np.max(np.abs(a))), 1e-300)
         if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric (relative tolerance 1e-12)")
@@ -113,10 +115,19 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(p={self.p})"
 
 
+def _check_finite(a: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"matrix entry ({r}, {c}) is {a[r, c]}, not a finite number")
+
+
 def _as_matrix(sigma) -> np.ndarray:
     if isinstance(sigma, CovarianceMatrix):
         return sigma.values
-    return np.asarray(sigma, dtype=float)
+    a = np.asarray(sigma, dtype=float)
+    _check_finite(a)
+    return a
 
 
 def _pair_subsets(p: int, j: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -452,58 +463,34 @@ def caching_wrapper(inner: CiBackend) -> CachingBackend:
     return CachingBackend(inner)
 
 
-def _sniff_header(first_line: str) -> bool:
-    """True when the first CSV line cannot be parsed as numbers."""
-    for field in first_line.strip().split(","):
-        try:
-            float(field)
-        except ValueError:
-            return True
-    return False
+def _read_csv(path, what: str) -> tuple[np.ndarray, list[str], bool]:
+    """The numbers in a CSV file, its column names, and whether a header gave them.
 
-
-def load_covariance_csv(path) -> tuple[CovarianceMatrix, list[str] | None]:
-    """Read a p x p covariance from CSV.
-
-    A non-numeric first row is read as a header of variable names.
-    Returns (matrix, names), names being None when there is no header.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
-    if not rows:
-        raise ValueError(f"{path}: empty covariance file")
-    names = None
-    if _sniff_header(",".join(rows[0])):
-        names = [f.strip() for f in rows.pop(0)]
-    data = np.array([[float(f) for f in row] for row in rows], dtype=float)
-    if names is not None and len(names) != data.shape[-1]:
-        raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[-1]}")
-    return CovarianceMatrix(data), names
-
-
-def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Read an n x p sample matrix from CSV.
-
-    The expected layout has a header row of variable names; a purely
-    numeric first row is accepted as data, in which case names default
-    to x0..x{p-1}. Lines holding only commas and whitespace are skipped.
-    Returns (data, names). A NaN or infinite entry is rejected with the
-    1-based data row and the column name.
+    Lines holding only commas and whitespace are skipped. A first line
+    with a field that does not parse as a number is a header of column
+    names; without one the columns are named x0, x1, .... Every data row
+    must have the header's width, and a NaN or infinite entry is rejected
+    with its 1-based data row and its column name.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [line for line in fh if line.replace(",", "").strip()]
     if not lines:
-        raise ValueError(f"{path}: empty sample file")
-    first = next(csv.reader(lines[:1]))
-    if _sniff_header(",".join(first)):
-        names = [f.strip() for f in first]
-        lines = lines[1:]
-    else:
-        names = [f"x{i}" for i in range(len(first))]
+        raise ValueError(f"{path}: empty {what} file")
+    first = [f.strip() for f in next(csv.reader(lines[:1]))]
+    try:
+        for f in first:
+            float(f)
+        named = False
+    except ValueError:
+        named, lines = True, lines[1:]
     if not lines:
         raise ValueError(f"{path}: header but no data rows")
-    data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
-    if data.shape[1] != len(names):
+    try:
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    names = first if named else [f"x{i}" for i in range(data.shape[1])]
+    if len(names) != data.shape[1]:
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
@@ -512,4 +499,27 @@ def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
             f"{path}: data row {r + 1}, column {names[c]} holds {data[r, c]}, "
             "not a finite number"
         )
+    return data, names, named
+
+
+def load_covariance_csv(path) -> tuple[CovarianceMatrix, list[str] | None]:
+    """Read a p x p covariance from CSV, by the rules of :func:`load_samples_csv`.
+
+    Returns (matrix, names), names being None when there is no header.
+    """
+    data, names, named = _read_csv(path, "covariance")
+    return CovarianceMatrix(data), names if named else None
+
+
+def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Read an n x p sample matrix from CSV.
+
+    The expected layout has a header row of variable names; a purely
+    numeric first row is accepted as data, in which case names default
+    to x0..x{p-1}. Lines holding only commas and whitespace are skipped.
+    Returns (data, names). A row of another width is rejected, and so is
+    a NaN or infinite entry, with the 1-based data row and the column
+    name.
+    """
+    data, names, _ = _read_csv(path, "sample")
     return data, names

@@ -57,14 +57,13 @@ class GenConfig:
     """Parameters of the random model family.
 
     expected_nbhd is the expected undirected degree of a vertex; the
-    pairwise edge probability is expected_nbhd / (p - 1). n is the
-    default sample count drawn per experiment trial.
+    pairwise edge probability is expected_nbhd / (p - 1). The random
+    stream and the sample count are not part of the family: callers pass
+    a Generator to the draws and n to :func:`sample`.
     """
 
     p: int
     expected_nbhd: float
-    seed: int = 0
-    n: int = 1000
 
     def __post_init__(self):
         if self.p < 2:
@@ -74,8 +73,6 @@ class GenConfig:
                 f"expected_nbhd must lie in (0, p-1] = (0, {self.p - 1}], "
                 f"got {self.expected_nbhd}"
             )
-        if self.n < 1:
-            raise ValueError(f"sample count must be positive, got {self.n}")
 
     @property
     def edge_probability(self) -> float:

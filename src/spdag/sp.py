@@ -220,8 +220,8 @@ def _sparsest(p: int, parents) -> SpResult:
 def _check_cap(p: int, max_p: int) -> None:
     if p > max_p:
         raise CapacityError(
-            f"scan over {p}! permutations exceeds the cap of {max_p} vertices; "
-            f"raise --max-p to allow it"
+            f"p={p} exceeds the cap of {max_p} vertices: the search fills a table "
+            f"over all 2^{p} = {2 ** p} prefix sets; raise --max-p to allow it"
         )
 
 

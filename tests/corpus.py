@@ -109,6 +109,6 @@ def random_sem_pool(seed, count, p_values=(3, 4, 5), nbhd=1.5):
     out = []
     for i in range(count):
         p = int(p_values[i % len(p_values)])
-        cfg = GenConfig(p=p, expected_nbhd=min(nbhd, p - 1), seed=0)
+        cfg = GenConfig(p=p, expected_nbhd=min(nbhd, p - 1))
         out.append(random_weights(random_dag(cfg, rng), rng))
     return out

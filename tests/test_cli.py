@@ -1,5 +1,6 @@
 """End-to-end tests of the command line surface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -225,7 +226,72 @@ class TestCheck:
                 "--lambda", "0.01", "--input", cov, "--graph", truth, "--out", "-"])
 
 
+# sha256 of every byte-stable file `sp simulate` writes for three small
+# grids, one per mode. The oracle grid has p=10 cells, over the SP cap,
+# and a p=3 cell with nbhd 2.5 > p-1; the sample grid has n=6 < p+4 cells;
+# so `skipped` lists both kinds of skip. Any change to a hash is a change
+# to the reproducible outputs and must be deliberate.
+GOLDEN_GRIDS = {
+    "oracle": (
+        "mode=oracle\np_list=3,4,10\nnbhd_list=1,2.5\nn_list=100\nalpha_list=0.01\n"
+        "trials=2\nmaster_seed=3\nmethods=sp,pc\n",
+        {
+            "aggregate.csv": "ab11c9099147fe7ab4a73c3c8db4a2af51bb9368bcbfa3c7168ca6c121d98557",
+            "fig_10_100_0.01.csv": "4fd553124142657508e560cdb124ae5949fc90ae95c253988eba177a8206e858",
+            "fig_3_100_0.01.csv": "c5718df7694dbb2ddc4155af0b9483060b5a52bdb1b273e79692609f63e1b9a5",
+            "fig_4_100_0.01.csv": "06a92007340924d14ce397ff9aba385f8df02aab1b66c20d700aefe6d2d3be3c",
+            "summary.json": "68b0b85fb5f2594d1178a5e96bd987b00fbb061b5823b97777666e3653ddc203",
+            "trials.csv": "3bf70176753875240408ebcd2dbf24c06ff4a5133c6e82c572e8ed4cfc584144",
+        },
+    ),
+    "gaussian-exact": (
+        "mode=gaussian-exact\np_list=5,6\nnbhd_list=1.5,3\nn_list=100\nalpha_list=0.01\n"
+        "trials=3\nmaster_seed=4\n",
+        {
+            "aggregate.csv": "157d3b73932c8e4ec27e7744e3f2920665a82be3303e8b33858fd006fdcc4d3a",
+            "fig_5_100_0.01.csv": "8d2a09e51d4cd81711c260661e836e4f736340a6211a639a78e0d5fb9cf6f1a3",
+            "fig_6_100_0.01.csv": "8d2a09e51d4cd81711c260661e836e4f736340a6211a639a78e0d5fb9cf6f1a3",
+            "summary.json": "ba55a40998039d4a0acf7553c2530ea2f63433918a9743ff1da1d602dd05fca7",
+            "trials.csv": "44aa91466cc1c5a9123faa31124e2c42cbd94b27a61c402cd4dacbc4aca9745f",
+        },
+    ),
+    "sample": (
+        "mode=sample\np_list=4,6\nnbhd_list=2\nn_list=6,60,400\nalpha_list=0.01,0.001\n"
+        "trials=3\nmaster_seed=5\n",
+        {
+            "aggregate.csv": "0679629b7769ee3a8e9e81655550ffec433b2673eac591d08988103721163727",
+            "fig_4_400_0.001.csv": "947a73e1ab3a3da2abc0090f4690e8d22a3aea413a58fa5ae54f92a7110d30ad",
+            "fig_4_400_0.01.csv": "df9034395e95d54c9415997b0cfb329c633e5cb108e4d233380ff4a7ad96530f",
+            "fig_4_60_0.001.csv": "d665bbfa0d26e8a0f104e7804de82de63539ed6915e34d372af7dcbd4ed8a92b",
+            "fig_4_60_0.01.csv": "d665bbfa0d26e8a0f104e7804de82de63539ed6915e34d372af7dcbd4ed8a92b",
+            "fig_6_400_0.001.csv": "d1fe51371692a85ccd2fde6d2dc5c9d5dd1d28b58b2afb52d0614709290031ba",
+            "fig_6_400_0.01.csv": "ba1bb2046537f8144f7adb737a5167b06abd2de974d112d0ef6e1b17cf4bdc9d",
+            "fig_6_60_0.001.csv": "221ee18ae6f0fd7d6a3187e31ec7d1aee2b26939d89de54f82b890013be97381",
+            "fig_6_60_0.01.csv": "488a9a8ca0410c202cead74d1cc1ec46bf6c8dc00af083c744d46484b7513cfa",
+            "summary.json": "026ba90c6db249f5ad48594489810897ab322c7aeb5a47950678edb4995f9330",
+            "trials.csv": "60947d65561f3731a2d0789da999db9e42748c5ac60299bdf0dec46746661023",
+        },
+    ),
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_GRIDS))
+    def test_files_match_golden_hashes(self, tmp_path, mode):
+        text, hashes = GOLDEN_GRIDS[mode]
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        run_ok(["simulate", "--config", cfg, "--out-dir", out])
+        got = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()
+            if f.name != "timings.csv"
+        }
+        assert got == hashes
+        if mode != "gaussian-exact":
+            assert json.loads((out / "summary.json").read_text())["skipped"]
+
     def test_outputs_and_thread_determinism(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
@@ -271,6 +337,25 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "gap.csv" in err and "data row 4" in err and "column b" in err
+
+    @pytest.mark.parametrize("command", [
+        ["learn", "--backend", "gaussian"],
+        ["learn", "--backend", "lambda", "--lambda", "0.1"],
+        ["learn", "--backend", "cholesky"],
+        ["baseline", "--method", "pc", "--backend", "gaussian"],
+        ["check", "--assumption", "markov", "--backend", "gaussian"],
+    ], ids=["learn-gaussian", "learn-lambda", "learn-cholesky", "baseline", "check"])
+    def test_nan_in_covariance_names_row_and_column(self, tmp_path, capsys, command):
+        cov = tmp_path / "cov.csv"
+        cov.write_text("1,0,0\n0,1,nan\n0,nan,1\n")
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_dag_text(Dag(3, [(0, 1)])))
+        if command[0] == "check":
+            command = command + ["--graph", str(graph)]
+        assert main(command + ["--input", str(cov), "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "cov.csv" in err and "data row 2, column x2" in err
 
     def test_lambda_backend_needs_threshold(self, sem_files, capsys):
         _, cov, _ = sem_files

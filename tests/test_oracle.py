@@ -12,6 +12,7 @@ Core claims checked here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from spdag.oracle import (
     partial_correlation,
 )
 from spdag.sem import LinearSem, covariance_of, random_sem, GenConfig, sample
-from spdag.sp import sp_search
+from spdag.sp import sp_search, sp_search_cholesky
 
 from corpus import (
     CHAIN3,
@@ -80,6 +81,24 @@ class TestCovarianceMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             CovarianceMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_covariance_reader_rejects_non_finite_entries(self, bad):
+        # a NaN must not pass for a collinear block (which would give a
+        # complete graph), and inf must fail before numpy warns
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        readers = (
+            CovarianceMatrix,
+            gaussian_exact_backend,
+            lambda s: lambda_backend(s, 0.1),
+            sp_search_cholesky,
+        )
+        for read in readers:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"entry \(0, 1\) is .*not a finite number"):
+                    read(m)
 
     def test_read_only(self):
         m = CovarianceMatrix(np.eye(2))
@@ -582,6 +601,21 @@ class TestCsvLoaders:
         path.write_text("a,b,c\n1,2\n")
         with pytest.raises(ValueError, match="header width 3 != data width 2"):
             load_samples_csv(path)
+
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    def test_ragged_rows_name_the_file(self, tmp_path, load):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,c\n1.0,0.0,0.0\n0.0,1.0\n0.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match=r"ragged\.csv: .*columns changed from 3 to 2"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entries_name_row_and_column(self, tmp_path, load, bad):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n\n1.0,0.5\n , \n0.5,{bad}\n")
+        with pytest.raises(ValueError, match=rf"m\.csv: data row 2, column b holds {bad},"):
+            load(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "nothing.csv"

@@ -220,10 +220,19 @@ class TestSpSearch:
 
     def test_capacity_error_names_the_flag(self):
         ci = explicit_backend(10, [])
-        with pytest.raises(CapacityError, match="--max-p"):
+        with pytest.raises(CapacityError, match=r"2\^10 = 1024 prefix sets; raise --max-p"):
             sp_search(ci)
         r = sp_search(explicit_backend(3, []), max_p=3)
         assert r.min_edges == 3  # complete graph: nothing is independent
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_both_routes_recover_sparse_models_above_the_default_cap(self, seed):
+        sem = random_sem(GenConfig(p=12, expected_nbhd=2.0), np.random.default_rng(seed))
+        sigma = covariance_of(sem)
+        by_queries = sp_search(gaussian_exact_backend(sigma), max_p=12)
+        by_fill = sp_search_cholesky(sigma, max_p=12)
+        assert by_queries.masks == by_fill.masks
+        assert by_queries.classes == {pattern_of(sem.dag)}
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError, match="at least one winner"):
