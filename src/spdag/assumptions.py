@@ -6,19 +6,27 @@ whether the assumption holds, and if not, up to MAX_WITNESSES concrete
 counterexamples plus the total violation count.  The caps keep the
 scans to desk scale; these functions exist to validate theory on small
 instances, not to run inside experiments.
+
+Each checker is a guard plus its definition. They share one Markov
+test, which the SMR and minimality checks run first; one sweep over
+pairs and conditioning sets for the faithfulness family (pairs in a
+skeleton triangle are adjacent, so the triangle check is
+adjacency-faithfulness over triangle edges); and the DAG enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations
 
 from .exceptions import CapacityError
 from .graph import (
     Dag,
+    _d_separated,
     d_separated,
     enumerate_all_dags,
     markov_equivalent,
-    skeleton,
     triangles,
     unshielded_triples,
 )
@@ -91,14 +99,11 @@ def _report(violations) -> AssumptionReport:
     return AssumptionReport(witnesses=tuple(kept), total_violations=total)
 
 
-def _guard(p: int, cap: int, what: str) -> None:
-    if p > cap:
-        raise CapacityError(f"{what} scans exhaustively and is capped at {cap} vertices")
-
-
-def _check_match(g: Dag, ci: CiBackend) -> None:
+def _checked(g: Dag, ci: CiBackend, cap: int, what: str) -> None:
     if g.p != ci.p:
         raise ValueError(f"graph has {g.p} vertices but backend covers {ci.p}")
+    if g.p > cap:
+        raise CapacityError(f"{what} scans exhaustively and is capped at {cap} vertices")
 
 
 def d_separation_set(g: Dag) -> frozenset:
@@ -106,9 +111,17 @@ def d_separation_set(g: Dag) -> frozenset:
     return frozenset(t for t in iter_triples(g.p) if d_separated(g, *t))
 
 
+@lru_cache(maxsize=None)
+def _sorted_triples(p: int) -> tuple:
+    """Every query (j, k, S, S as a bitmask), j < k, sorted by (j, k, sorted(S))."""
+    triples = sorted(iter_triples(p), key=lambda t: (t[0], t[1], sorted(t[2])))
+    return tuple((j, k, s, sum(1 << v for v in s)) for j, k, s in triples)
+
+
 def _markov_violations(g: Dag, ci: CiBackend):
-    for j, k, s in sorted(d_separation_set(g), key=lambda t: (t[0], t[1], sorted(t[2]))):
-        if not ci.is_independent(j, k, s):
+    """Each separation of g that the backend does not hold, in _sorted_triples order."""
+    for j, k, s, mask in _sorted_triples(g.p):
+        if _d_separated(g, j, k, mask) and not ci.is_independent(j, k, s):
             yield Witness(
                 (j, k, s),
                 f"{j} and {k} are separated given {sorted(s)} in the graph "
@@ -116,17 +129,39 @@ def _markov_violations(g: Dag, ci: CiBackend):
             )
 
 
+def _is_markov(g: Dag, ci: CiBackend) -> bool:
+    return not any(_markov_violations(g, ci))
+
+
+def _markov_first(g: Dag, ci: CiBackend, rest) -> AssumptionReport:
+    """g's Markov violations if it has any, else the witnesses rest(ci) yields.
+
+    Both scans share one cache in front of ci.
+    """
+    ci = caching_wrapper(ci)
+    problems = list(_markov_violations(g, ci))
+    return _report(problems or rest(ci))
+
+
+def _independent_pairs(g: Dag, ci: CiBackend, pairs, why, connected: bool = False):
+    """A witness for each pair and conditioning set under which the pair tests independent.
+
+    Pairs are scanned in the order given, conditioning sets by size then
+    lexicographically; with connected, only sets that leave the pair
+    d-connected in g count. The reason is why formatted with the pair as
+    given (j, k) and the sorted set (s); the subject puts the low vertex first.
+    """
+    for j, k in pairs:
+        a, b = (j, k) if j < k else (k, j)
+        for s in _pair_subsets(g.p, a, b):
+            if (not connected or not d_separated(g, a, b, s)) and ci.is_independent(a, b, s):
+                yield Witness((a, b, frozenset(s)), why.format(j=j, k=k, s=sorted(s)))
+
+
 def check_markov(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Every separation the graph encodes must hold in the backend."""
-    _check_match(g, ci)
-    _guard(g.p, 6, "the Markov check")
+    _checked(g, ci, 6, "the Markov check")
     return _report(_markov_violations(g, ci))
-
-
-def _is_markov(g: Dag, ci: CiBackend) -> bool:
-    return not any(
-        d_separated(g, *t) and not ci.is_independent(*t) for t in iter_triples(g.p)
-    )
 
 
 def check_smr(g_star: Dag, ci: CiBackend) -> AssumptionReport:
@@ -136,106 +171,61 @@ def check_smr(g_star: Dag, ci: CiBackend) -> AssumptionReport:
     Markov DAG with at most as many edges sits in a different
     equivalence class.
     """
-    _check_match(g_star, ci)
-    _guard(g_star.p, 5, "the sparsest-representation check")
-    ci = caching_wrapper(ci)
-    markov_problems = list(_markov_violations(g_star, ci))
-    if markov_problems:
-        return _report(markov_problems)
-
+    _checked(g_star, ci, 5, "the sparsest-representation check")
     budget = g_star.num_edges
 
-    def rivals():
+    def rivals(ci):
         for g in enumerate_all_dags(g_star.p):
-            if g.num_edges > budget:
-                continue
-            if markov_equivalent(g, g_star):
-                continue
-            if _is_markov(g, ci):
+            if g.num_edges <= budget and not markov_equivalent(g, g_star) and _is_markov(g, ci):
                 yield Witness(
                     g,
                     f"Markov with {g.num_edges} edges, at most the "
                     f"{budget} of the candidate, yet not equivalent to it",
                 )
 
-    return _report(rivals())
+    return _markov_first(g_star, ci, rivals)
+
+
+def _adjacency(g: Dag, ci: CiBackend):
+    why = "{j} -> {k} is an edge yet the pair tests independent given {s}"
+    return _independent_pairs(g, ci, sorted(g.edges), why)
+
+
+def _orientation(g: Dag, ci: CiBackend):
+    pairs = sorted({(j, k) for j, _, k in unshielded_triples(g)})
+    why = "{j} and {k} span an unshielded triple and are connected given {s}, yet test independent"
+    return _independent_pairs(g, ci, pairs, why, connected=True)
 
 
 def check_adjacency_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Adjacent vertices must stay dependent under every conditioning set."""
-    _check_match(g, ci)
-    _guard(g.p, 6, "the adjacency-faithfulness check")
-
-    def violations():
-        for j, k in sorted(g.edges):
-            a, b = (j, k) if j < k else (k, j)
-            for s in _pair_subsets(g.p, a, b):
-                if ci.is_independent(a, b, s):
-                    yield Witness(
-                        (a, b, frozenset(s)),
-                        f"{j} -> {k} is an edge yet the pair tests "
-                        f"independent given {sorted(s)}",
-                    )
-
-    return _report(violations())
+    _checked(g, ci, 6, "the adjacency-faithfulness check")
+    return _report(_adjacency(g, ci))
 
 
 def check_orientation_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Pairs spanning an unshielded triple must track d-connection."""
-    _check_match(g, ci)
-    _guard(g.p, 6, "the orientation-faithfulness check")
-    pairs = sorted({(j, k) for j, _, k in unshielded_triples(g)})
-
-    def violations():
-        for j, k in pairs:
-            for s in _pair_subsets(g.p, j, k):
-                if not d_separated(g, j, k, s) and ci.is_independent(j, k, s):
-                    yield Witness(
-                        (j, k, frozenset(s)),
-                        f"{j} and {k} span an unshielded triple and are "
-                        f"connected given {sorted(s)}, yet test independent",
-                    )
-
-    return _report(violations())
+    _checked(g, ci, 6, "the orientation-faithfulness check")
+    return _report(_orientation(g, ci))
 
 
 def check_restricted_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Adjacency- and orientation-faithfulness combined."""
-    adj = check_adjacency_faithfulness(g, ci)
-    ori = check_orientation_faithfulness(g, ci)
-    kept = (adj.witnesses + ori.witnesses)[:MAX_WITNESSES]
-    total = adj.total_violations + ori.total_violations
-    return AssumptionReport(witnesses=kept, total_violations=total)
+    _checked(g, ci, 6, "the restricted-faithfulness check")
+    return _report(chain(_adjacency(g, ci), _orientation(g, ci)))
 
 
 def check_triangle_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
-    """Full faithfulness restricted to pairs inside skeleton triangles.
+    """Faithfulness restricted to pairs inside skeleton triangles.
 
+    Such pairs are adjacent, and adjacent vertices are never d-separated,
+    so this is adjacency-faithfulness over the edges of triangles.
     Triangle-free graphs hold vacuously.
     """
-    _check_match(g, ci)
-    _guard(g.p, 6, "the triangle-faithfulness check")
-    pairs = set()
-    for a, b, c in triangles(g):
-        pairs.update({tuple(sorted(x)) for x in ((a, b), (a, c), (b, c))})
-
-    def violations():
-        for j, k in sorted(pairs):
-            for s in _pair_subsets(g.p, j, k):
-                sep = d_separated(g, j, k, s)
-                ind = ci.is_independent(j, k, s)
-                if sep != ind:
-                    side = (
-                        "separated in the graph but dependent"
-                        if sep
-                        else "connected in the graph but independent"
-                    )
-                    yield Witness(
-                        (j, k, frozenset(s)),
-                        f"in-triangle pair {j},{k} given {sorted(s)}: {side}",
-                    )
-
-    return _report(violations())
+    _checked(g, ci, 6, "the triangle-faithfulness check")
+    pairs = sorted({pair for t in triangles(g) for pair in combinations(t, 2)})
+    why = "in-triangle pair {j},{k} given {s}: connected in the graph but independent"
+    return _report(_independent_pairs(g, ci, pairs, why))
 
 
 def check_sgs_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
@@ -245,14 +235,9 @@ def check_sgs_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
     sub-DAG exists exactly when some one-edge deletion stays Markov;
     the sweep over single deletions is therefore complete.
     """
-    _check_match(g, ci)
-    _guard(g.p, 6, "the minimality check")
-    ci = caching_wrapper(ci)
-    markov_problems = list(_markov_violations(g, ci))
-    if markov_problems:
-        return _report(markov_problems)
+    _checked(g, ci, 6, "the minimality check")
 
-    def violations():
+    def spare_edges(ci):
         for j, k in sorted(g.edges):
             if _is_markov(g.without_edge(j, k), ci):
                 yield Witness(
@@ -261,43 +246,32 @@ def check_sgs_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
                     f"still Markov to the backend",
                 )
 
-    return _report(violations())
+    return _markov_first(g, ci, spare_edges)
 
 
 def check_p_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
     """No Markov DAG may encode a strict superset of g's separations."""
-    _check_match(g, ci)
-    _guard(g.p, 5, "the preference-minimality check")
-    ci = caching_wrapper(ci)
-    markov_problems = list(_markov_violations(g, ci))
-    if markov_problems:
-        return _report(markov_problems)
-
+    _checked(g, ci, 5, "the preference-minimality check")
     base = d_separation_set(g)
-    all_triples = list(iter_triples(g.p))
 
-    def violations():
+    def preferred(ci):
         for cand in enumerate_all_dags(g.p):
             strict = False
-            preferred = True
-            for j, k, s in all_triples:
-                sep = d_separated(cand, j, k, s)
-                if sep:
+            for j, k, s, mask in _sorted_triples(g.p):
+                if _d_separated(cand, j, k, mask):
                     if not ci.is_independent(j, k, s):
-                        preferred = False  # not Markov
-                        break
-                    if (j, k, s) not in base:
-                        strict = True
+                        break  # not Markov
+                    strict = strict or (j, k, s) not in base
                 elif (j, k, s) in base:
-                    preferred = False  # lost one of g's separations
-                    break
-            if preferred and strict:
-                yield Witness(
-                    cand,
-                    "Markov and encodes strictly more separations than the candidate",
-                )
+                    break  # lost one of g's separations
+            else:  # Markov, and keeps every separation of g
+                if strict:
+                    yield Witness(
+                        cand,
+                        "Markov and encodes strictly more separations than the candidate",
+                    )
 
-    return _report(violations())
+    return _markov_first(g, ci, preferred)
 
 
 def check_lambda_strong_smr(

@@ -342,12 +342,17 @@ def skeleton(g: Dag) -> frozenset[tuple[int, int]]:
     return frozenset((j, k) if j < k else (k, j) for j, k in g.edges)
 
 
+def _adjacency_masks(g: Dag) -> list[int]:
+    """Bitmask of each vertex's neighbors, parents and children alike."""
+    return [c | q for c, q in zip(g._child_masks, g._parent_masks)]
+
+
 def v_structures(g: Dag) -> frozenset[tuple[int, int, int]]:
     """Collider triples j -> l <- k with j, k nonadjacent, as (j, l, k), j < k."""
-    child = g._child_masks
-    adj = [c | q for c, q in zip(child, g._parent_masks)]
     return frozenset(
-        (j, ell, k) for j, k, common in _colliders(child, adj) for ell in _bits(common)
+        (j, ell, k)
+        for j, k, common in _colliders(g._child_masks, _adjacency_masks(g))
+        for ell in _bits(common)
     )
 
 
@@ -355,32 +360,22 @@ def unshielded_triples(g: Dag) -> frozenset[tuple[int, int, int]]:
     """Triples (j, l, k), j < k, with l adjacent to both and j, k nonadjacent.
 
     Orientation is ignored; every v-structure is an unshielded triple but
-    not conversely.
+    not conversely. These are the colliders of the skeleton read as a
+    graph in which every edge points both ways.
     """
-    adj = [set() for _ in range(g.p)]
-    for j, k in g.edges:
-        adj[j].add(k)
-        adj[k].add(j)
-    out = set()
-    for ell in range(g.p):
-        for j, k in combinations(sorted(adj[ell]), 2):
-            if k not in adj[j]:
-                out.add((j, ell, k))
-    return frozenset(out)
+    adj = _adjacency_masks(g)
+    return frozenset((j, ell, k) for j, k, common in _colliders(adj, adj) for ell in _bits(common))
 
 
 def triangles(g: Dag) -> frozenset[tuple[int, int, int]]:
     """Mutually adjacent vertex triples of the skeleton, sorted ascending."""
-    skel = skeleton(g)
-    adj = [set() for _ in range(g.p)]
-    for a, b in skel:
-        adj[a].add(b)
-        adj[b].add(a)
-    out = set()
-    for a, b in skel:
-        for c in adj[a] & adj[b]:
-            out.add(tuple(sorted((a, b, c))))
-    return frozenset(out)
+    adj = _adjacency_masks(g)
+    return frozenset(
+        (a, b, c)
+        for a, na in enumerate(adj)
+        for b in _bits(na & -(2 << a))
+        for c in _bits(na & adj[b] & -(2 << b))
+    )
 
 
 @dataclass(frozen=True)
@@ -517,37 +512,37 @@ def consistent_order(g: Dag) -> Permutation:
     return Permutation(order)
 
 
-def _dag_edge_sets(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Edge sets of every labeled DAG on p vertices, in enumeration order."""
-    pairs = list(combinations(range(p), 2))
-    n = len(pairs)
-    edges: list[tuple[int, int]] = []
+def _reach_with(reach: list[int], u: int, v: int) -> list[int]:
+    """Reachability after adding the edge u -> v to an acyclic graph.
 
-    def rec(i: int, reach: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        # reach[v] = bitmask of vertices reachable from v by a directed path.
-        if i == n:
-            yield tuple(edges)
+    reach[w] is the bitmask of vertices w reaches by a directed path; the
+    edge closes a cycle exactly when reach[v] holds u, which callers rule
+    out first. u and everything reaching u gain v and all that v reaches.
+    """
+    gained = reach[v] | 1 << v
+    return [r | gained if w == u or r >> u & 1 else r for w, r in enumerate(reach)]
+
+
+def _dag_masks(p: int) -> Iterator[int]:
+    """Edge masks of every labeled DAG on p vertices, in enumeration order."""
+    pairs = list(combinations(range(p), 2))
+
+    def rec(i: int, reach: list[int], mask: int) -> Iterator[int]:
+        if i == len(pairs):
+            yield mask
             return
         a, b = pairs[i]
-        yield from rec(i + 1, reach)
+        yield from rec(i + 1, reach, mask)
         for u, v in ((a, b), (b, a)):
-            if reach[v] >> u & 1:
-                continue
-            new_reach = list(reach)
-            gained = new_reach[v] | (1 << v)
-            for w in range(p):
-                if w == u or new_reach[w] >> u & 1:
-                    new_reach[w] |= gained
-            edges.append((u, v))
-            yield from rec(i + 1, new_reach)
-            edges.pop()
+            if not reach[v] >> u & 1:
+                yield from rec(i + 1, _reach_with(reach, u, v), mask | 1 << (u * p + v))
 
-    return rec(0, [0] * p)
+    return rec(0, [0] * p, 0)
 
 
 @lru_cache(maxsize=8)
-def _cached_dag_edge_sets(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(_dag_edge_sets(p))
+def _cached_dag_masks(p: int) -> tuple[int, ...]:
+    return tuple(_dag_masks(p))
 
 
 def enumerate_all_dags(p: int) -> Iterator[Dag]:
@@ -556,8 +551,10 @@ def enumerate_all_dags(p: int) -> Iterator[Dag]:
     The count grows superexponentially (25 at p=3, 543 at p=4, 29281 at
     p=5), so this refuses p beyond ENUMERATION_CAP. Enumeration order is
     deterministic: pairs are scanned lexicographically and each pair
-    takes the states absent, low to high, high to low. Edge sets are
-    cached for p <= 5; p = 6 (3.78 million graphs) streams uncached.
+    takes the states absent, low to high, high to low. An edge is only
+    added when it closes no cycle, so each graph is built from its edge
+    mask without a second acyclicity check. Masks are cached for p <= 5;
+    p = 6 (3.78 million graphs) streams uncached.
     """
     p = int(p)
     if p < 0:
@@ -567,8 +564,8 @@ def enumerate_all_dags(p: int) -> Iterator[Dag]:
             f"enumerating all DAGs on p={p} vertices exceeds the cap "
             f"({ENUMERATION_CAP}); the count is astronomically large"
         )
-    for edge_set in _cached_dag_edge_sets(p) if p <= 5 else _dag_edge_sets(p):
-        yield Dag(p, edge_set)
+    for mask in _cached_dag_masks(p) if p <= 5 else _dag_masks(p):
+        yield Dag._from_mask(p, mask)
 
 
 class DagDocument(NamedTuple):
@@ -640,10 +637,7 @@ def parse_dag_text(text: str) -> DagDocument:
                 f"edge {j_raw} -> {k_raw} closes a directed cycle", line_no
             )
         edges.add((j, k))
-        gained = reach[k] | (1 << k)
-        for w in range(p):
-            if w == j or reach[w] >> j & 1:
-                reach[w] |= gained
+        reach = _reach_with(reach, j, k)
     return DagDocument(Dag(p, edges), base)
 
 

@@ -453,9 +453,14 @@ def fisher_z_backend(data, cfg: TestConfig) -> PartialCorrelationBackend:
     n, p = x.shape
     if n < p + 4:
         raise ValueError(f"need n >= p + 4 samples for the z test (got n={n}, p={p})")
+    moments = (x.T @ x) / n
+    # a non-finite entry always reaches the moments; only then is the data
+    # scanned to name it (a scan adds a third to a sparse p = 12 PC call)
+    if not np.isfinite(moments).all():
+        _check_finite(x)
     # ndtri is the normal quantile norm.ppf returns, without importing
     # scipy.stats, which took over half of the package's import time
-    return PartialCorrelationBackend((x.T @ x) / n, float(ndtri(1 - cfg.alpha / 2)), n)
+    return PartialCorrelationBackend(moments, float(ndtri(1 - cfg.alpha / 2)), n)
 
 
 def caching_wrapper(inner: CiBackend) -> CachingBackend:
@@ -463,12 +468,12 @@ def caching_wrapper(inner: CiBackend) -> CachingBackend:
     return CachingBackend(inner)
 
 
-def _read_csv(path, what: str) -> tuple[np.ndarray, list[str], bool]:
+def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
     """The numbers in a CSV file, its column names, and whether a header gave them.
 
     Lines holding only commas and whitespace are skipped. A first line
     with a field that does not parse as a number is a header of column
-    names; without one the columns are named x0, x1, .... Every data row
+    names; without one column i is named prefix + str(i). Every data row
     must have the header's width, and a NaN or infinite entry is rejected
     with its 1-based data row and its column name.
     """
@@ -489,7 +494,7 @@ def _read_csv(path, what: str) -> tuple[np.ndarray, list[str], bool]:
         data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    names = first if named else [f"x{i}" for i in range(data.shape[1])]
+    names = first if named else [f"{prefix}{i}" for i in range(data.shape[1])]
     if len(names) != data.shape[1]:
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")
     bad = np.argwhere(~np.isfinite(data))
@@ -506,8 +511,9 @@ def load_covariance_csv(path) -> tuple[CovarianceMatrix, list[str] | None]:
     """Read a p x p covariance from CSV, by the rules of :func:`load_samples_csv`.
 
     Returns (matrix, names), names being None when there is no header.
+    Without one, errors name column i as i, the label the search gives it.
     """
-    data, names, named = _read_csv(path, "covariance")
+    data, names, named = _read_csv(path, "covariance", "")
     return CovarianceMatrix(data), names if named else None
 
 
@@ -521,5 +527,5 @@ def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
     a NaN or infinite entry, with the 1-based data row and the column
     name.
     """
-    data, names, _ = _read_csv(path, "sample")
+    data, names, _ = _read_csv(path, "sample", "x")
     return data, names

@@ -30,9 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .exceptions import CapacityError, NumericalError
+from .exceptions import CapacityError
 from .graph import (
     CycleError,
     Dag,
@@ -48,8 +46,8 @@ from .graph import (
 from .oracle import (
     CachingBackend,
     CiBackend,
+    CovarianceMatrix,
     PartialCorrelationBackend,
-    _as_matrix,
     _standardize,
     _SubsetTable,
 )
@@ -271,17 +269,15 @@ def sp_search_cholesky(
     same kind of per-subset table the partial-correlation backend
     keeps; working on the correlation matrix makes the tolerance
     scale-free.  A collinear block makes every coefficient count.
+    sigma is read as a CovarianceMatrix, as the query route's backends
+    read it, so both routes reject the same matrices with one ValueError.
     """
     if chol_tol <= 0:
         raise ValueError(f"tolerance must be positive, got {chol_tol}")
-    m = _as_matrix(sigma)
-    p = m.shape[0]
+    sigma = CovarianceMatrix(sigma)
+    p = sigma.p
     _check_cap(p, max_p)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"covariance failed to factor: {err}") from None
-    table = _SubsetTable(_standardize(m))
+    table = _SubsetTable(_standardize(sigma))
 
     def parents(mask: int, k: int) -> tuple:
         if not mask:

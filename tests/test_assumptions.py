@@ -1,5 +1,6 @@
 """Tests for the assumption checkers and the theorem landscape they map."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -44,6 +45,7 @@ from corpus import (
     random_dag_pool,
     random_sem_pool,
 )
+from reference import all_dags_brute, d_separation_set_brute, pattern_by_triples
 
 THM4B_DAG = Dag(4, [(0, 3), (0, 2), (3, 1), (3, 2), (1, 2)])
 
@@ -429,3 +431,119 @@ class TestDSeparationSet:
         assert d_separation_set(FOUR_CYCLE) == frozenset(
             {(0, 2, frozenset({1})), (1, 3, frozenset({0, 2}))}
         )
+
+
+@functools.lru_cache(maxsize=None)
+def brute_dags(p):
+    """Every DAG on p vertices with its separations, both found by brute force."""
+    graphs = [Dag(p, edges) for edges in sorted(all_dags_brute(p), key=sorted)]
+    return {g: d_separation_set_brute(g) for g in graphs}
+
+
+def brute_cases(seed, count):
+    """(graph, backend, independent set) on p <= 4 from hand-listed triples.
+
+    Each checks a random DAG: even cases list its separations with up to
+    two triples toggled, odd cases a random half of all triples, against
+    which the DAG is mostly not Markov.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        p = 2 + i % 3
+        dags = list(brute_dags(p))
+        triples = [
+            (j, k, frozenset(s))
+            for j, k in itertools.combinations(range(p), 2)
+            for n in range(p - 1)
+            for s in itertools.combinations(sorted(set(range(p)) - {j, k}), n)
+        ]
+        g = dags[rng.integers(len(dags))]
+        if i % 2 == 0:
+            indep = set(brute_dags(p)[g])
+            for _ in range(rng.integers(3)):
+                indep ^= {triples[rng.integers(len(triples))]}
+        else:
+            indep = {t for t in triples if rng.random() < 0.5}
+        out.append((g, explicit_backend(p, indep), frozenset(indep)))
+    return out
+
+
+def brute_pairs_independent(pairs, indep):
+    """(a, b, S), a < b, for each listed pair and each S under which it is independent."""
+    return {(j, k, s) for j, k, s in indep if (j, k) in pairs}
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return brute_cases(330, 36)
+
+
+class TestAgainstBruteForceDefinitions:
+    """Each checker against its definition, evaluated on brute-force DAGs and separations."""
+
+    def test_markov_is_containment_of_separations(self, cases):
+        for g, ci, indep in cases:
+            missing = brute_dags(g.p)[g] - indep
+            rep = check_markov(g, ci)
+            assert rep.holds == (not missing)
+            assert rep.total_violations == len(missing)
+
+    def test_smr_counts_markov_rivals_outside_the_class(self, cases):
+        for g, ci, indep in cases:
+            seps = brute_dags(g.p)
+            if not seps[g] <= indep:
+                want = len(seps[g] - indep)  # g's own Markov violations come first
+            else:
+                want = sum(
+                    1
+                    for h, h_seps in seps.items()
+                    if h_seps <= indep
+                    and h.num_edges <= g.num_edges
+                    and pattern_by_triples(h) != pattern_by_triples(g)
+                )
+            assert check_smr(g, ci).total_violations == want
+
+    def test_p_minimality_counts_markov_dags_with_more_separations(self, cases):
+        for g, ci, indep in cases:
+            seps = brute_dags(g.p)
+            if not seps[g] <= indep:
+                want = len(seps[g] - indep)
+            else:
+                want = sum(1 for h_seps in seps.values() if h_seps <= indep and h_seps > seps[g])
+            assert check_p_minimality(g, ci).total_violations == want
+
+    def test_sgs_minimality_counts_removable_edges(self, cases):
+        for g, ci, indep in cases:
+            seps = brute_dags(g.p)
+            if not seps[g] <= indep:
+                want = len(seps[g] - indep)
+            else:
+                want = sum(1 for e in g.edges if seps[Dag(g.p, g.edges - {e})] <= indep)
+            assert check_sgs_minimality(g, ci).total_violations == want
+
+    def test_faithfulness_family_against_its_pairs(self, cases):
+        for g, ci, indep in cases:
+            edges = {(min(e), max(e)) for e in g.edges}
+            # of three vertices, pairs in a triangle have all three pairs
+            # adjacent; a pair spans an unshielded triple when the other two are
+            spans, in_triangle = set(), set()
+            for t in itertools.combinations(range(g.p), 3):
+                pairs = set(itertools.combinations(t, 2))
+                present = pairs & edges
+                if len(present) == 3:
+                    in_triangle |= pairs
+                elif len(present) == 2:
+                    spans |= pairs - present
+            adj = check_adjacency_faithfulness(g, ci)
+            tri = check_triangle_faithfulness(g, ci)
+            ori = check_orientation_faithfulness(g, ci)
+            adjacency_witnesses = brute_pairs_independent(edges, indep)
+            assert adj.total_violations == len(adjacency_witnesses)
+            assert tri.total_violations == len(brute_pairs_independent(in_triangle, indep))
+            connected = brute_pairs_independent(spans, indep) - brute_dags(g.p)[g]
+            assert ori.total_violations == len(connected)
+            assert {w.subject for w in tri.witnesses} <= adjacency_witnesses
+            restricted = check_restricted_faithfulness(g, ci)
+            assert restricted.total_violations == adj.total_violations + ori.total_violations
+            assert restricted.witnesses == (adj.witnesses + ori.witnesses)[:MAX_WITNESSES]

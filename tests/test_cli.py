@@ -226,6 +226,114 @@ class TestCheck:
                 "--lambda", "0.01", "--input", cov, "--graph", truth, "--out", "-"])
 
 
+# sha256 of the `sp check` JSON, wall_time_ms dropped, for every assumption
+# on three inputs: the sem_files covariance with its true graph, where every
+# assumption holds; the edge-cancellation covariance with its 4-cycle, where
+# adjacency-faithfulness fails on gaussian and, at lambda 0.45, so do SMR and
+# both minimality notions; and that covariance against a graph with a
+# triangle that it is not Markov to. Apart from the exact zeros, no partial
+# correlation of either covariance lies within 0.009 of a threshold used
+# here. Any change to a hash is a change to a report and must be deliberate.
+CHECK_BACKENDS = {
+    "gaussian": ["--backend", "gaussian"],
+    "lambda 0.01": ["--backend", "lambda", "--lambda", "0.01"],
+    "lambda 0.45": ["--backend", "lambda", "--lambda", "0.45"],
+}
+GOLDEN_CHECKS = {
+    ("truth", "gaussian"): {
+        "markov": "cdb9a128e5ef52a1a3a36f71899a9f5f1a81134ccd385079a9107bcf87d93e1d",
+        "smr": "b786fc5051a6387f8dba0eb88358b8d72fffbd4b7af3818c4a67513d7cdbfdea",
+        "adjacency": "f4bc1b2350fb16920bace23ee0952479d9ac79bc2d7c0c7e411f5917dc738f6a",
+        "orientation": "7359d45d0a299039407442a5585e9764d2632507db36eb152b37782a018cb4a0",
+        "restricted": "47d30e6c68d7bc42bf67321411902113a75ddf87203f68a10c20a023b00c0a2f",
+        "triangle": "dc407e7e2efd76ba78209d9a2f66d6e8161b0e5fcde45ae3fa71d91fc17c5fdd",
+        "sgs-min": "721314521aa2543baffc9df54d08032bf58ce0c6f174fc1628d05260c4279dd5",
+        "p-min": "6464bcd265d60b8a5cf6bf625ab6aa3367a72a2d4280e2353abd0ad72e316b5a",
+    },
+    ("truth", "lambda 0.01"): {
+        "markov": "cdb9a128e5ef52a1a3a36f71899a9f5f1a81134ccd385079a9107bcf87d93e1d",
+        "smr": "b786fc5051a6387f8dba0eb88358b8d72fffbd4b7af3818c4a67513d7cdbfdea",
+        "adjacency": "f4bc1b2350fb16920bace23ee0952479d9ac79bc2d7c0c7e411f5917dc738f6a",
+        "orientation": "7359d45d0a299039407442a5585e9764d2632507db36eb152b37782a018cb4a0",
+        "restricted": "47d30e6c68d7bc42bf67321411902113a75ddf87203f68a10c20a023b00c0a2f",
+        "triangle": "dc407e7e2efd76ba78209d9a2f66d6e8161b0e5fcde45ae3fa71d91fc17c5fdd",
+        "sgs-min": "721314521aa2543baffc9df54d08032bf58ce0c6f174fc1628d05260c4279dd5",
+        "p-min": "6464bcd265d60b8a5cf6bf625ab6aa3367a72a2d4280e2353abd0ad72e316b5a",
+        "lambda-smr": "d3901b728d218fc8a482e2d3b7eebb8bdc34e555b03587ec02e7f09bd2623394",
+    },
+    ("cancel", "gaussian"): {
+        "markov": "cdb9a128e5ef52a1a3a36f71899a9f5f1a81134ccd385079a9107bcf87d93e1d",
+        "smr": "b786fc5051a6387f8dba0eb88358b8d72fffbd4b7af3818c4a67513d7cdbfdea",
+        "adjacency": "a349aedc14b0739110ae6dcf45e559bef682a3df9ef6a0970abeb6a0c3062882",
+        "orientation": "7359d45d0a299039407442a5585e9764d2632507db36eb152b37782a018cb4a0",
+        "restricted": "de1ce1a2a9e4ed579383b3450482eec0ee397433b6cb64a9838c52f8ad0b13dd",
+        "triangle": "dc407e7e2efd76ba78209d9a2f66d6e8161b0e5fcde45ae3fa71d91fc17c5fdd",
+        "sgs-min": "721314521aa2543baffc9df54d08032bf58ce0c6f174fc1628d05260c4279dd5",
+        "p-min": "6464bcd265d60b8a5cf6bf625ab6aa3367a72a2d4280e2353abd0ad72e316b5a",
+    },
+    ("cancel", "lambda 0.45"): {
+        "markov": "cdb9a128e5ef52a1a3a36f71899a9f5f1a81134ccd385079a9107bcf87d93e1d",
+        "smr": "3312bb0d5e42cff936c9db7ca59abab92fce544b9d6b84ee8d102e4580d899e2",
+        "adjacency": "80a18f967016396066ee78bae6058c3cf8eba8ee45f2ea13e0f3e717ad354522",
+        "orientation": "a87539b81e5784245293aa9ac96058dc8748f1d2ff52f68f9c96ff678eb2f546",
+        "restricted": "ba6997848aad88bfb48810c40ab011b260d685aae38736fd1480652b9dd4e735",
+        "triangle": "dc407e7e2efd76ba78209d9a2f66d6e8161b0e5fcde45ae3fa71d91fc17c5fdd",
+        "sgs-min": "504635502d5c03f0e36b54f7f8b4eb2b2ebac23ba20099fb7f0e741aad59d512",
+        "p-min": "830c90016bf199c080eea20ba4fdf083c40e33f2f95f1c08d3baaafc42c69d9e",
+        "lambda-smr": "328cb16dfb3ddeeb821df309343026af344b90d41a44121f9310594f1bde8fcc",
+    },
+    ("unmarkov", "gaussian"): {
+        "markov": "78d349b3e34bff4db465e8b2e66edae9ef25831ca778e074fe8ab7c0325c3932",
+        "smr": "8e2dfce387712d27fa4a6d4ab0fc25849d8772c484c93ee625e02f9382b39ba4",
+        "adjacency": "70b8f20d71964fba9dc95b3b18772fd988fa3f6b99be0858ed614f4635a3163b",
+        "orientation": "7359d45d0a299039407442a5585e9764d2632507db36eb152b37782a018cb4a0",
+        "restricted": "d917c6590479d426e76d5f8354b7d2417ddd14c8d18276ab4e9989e416b9793f",
+        "triangle": "5f38cc309c9d649e357a42e170eec85736cfa0b7686f58801a87a48dfd09dd7c",
+        "sgs-min": "b9b811803f7a9e2eb5af9b5c17c7b1b5d33a7c3cf13b2817e168ebc20d593fb6",
+        "p-min": "c884f58b62d7ae0c8146ddf79b4b8c2f68714924e8ce6b4f778bbadcdca95b18",
+    },
+    ("unmarkov", "lambda 0.45"): {
+        "markov": "1a5928cc21b09c17afcb87acd17e9a5189b1d2b4d14f61468cb0a1ed04557b07",
+        "smr": "e92cf1d69e330ec8d5834ec7a13623c7b4340f68dc45fa57e3436960cc014758",
+        "adjacency": "15da3fac21db3aa3cef88d23ff10bc0504f9d62f705a54c188fab23ccbf94ab8",
+        "orientation": "7359d45d0a299039407442a5585e9764d2632507db36eb152b37782a018cb4a0",
+        "restricted": "22027d92dffe90cd5c8c8a827bbc06b327d2936ecc6749c40d4a10c926dd1795",
+        "triangle": "af94775bc6ec8b62e9abdf935760a74c222bc8357fcb667ce961e970604d2607",
+        "sgs-min": "b96981a7ac556ec2ed03aeac6614ab8b5d0f1f45d5d8ac33290ab496aa920a37",
+        "p-min": "34f0c4115dec71e43a319f6f1bc194a395ebd70b7b66ac6517a2353fc356db8e",
+        "lambda-smr": "6d13983056f4e107596f1f6c73767b35b3bc7941ede0e08e8a4c0277bb6e86ec",
+    },
+}
+
+
+@pytest.fixture
+def check_inputs(sem_files, tmp_path):
+    _, cov, truth = sem_files
+    sem = edge_cancellation_sem()
+    cancel = tmp_path / "cancel.csv"
+    np.savetxt(cancel, np.asarray(covariance_of(sem)), delimiter=",")
+    cycle, wrong = tmp_path / "cycle.txt", tmp_path / "wrong.txt"
+    cycle.write_text(format_dag_text(sem.dag, label_base=1))
+    wrong.write_text(format_dag_text(Dag(4, [(0, 1), (0, 2), (1, 2), (2, 3)])))
+    return {"truth": (cov, truth), "cancel": (cancel, cycle), "unmarkov": (cancel, wrong)}
+
+
+class TestCheckGolden:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CHECKS), ids=" / ".join)
+    def test_reports_match_golden_hashes(self, check_inputs, tmp_path, case):
+        name, backend = case
+        cov, graph = check_inputs[name]
+        out = tmp_path / "r.json"
+        got = {}
+        for assumption in GOLDEN_CHECKS[case]:
+            run_ok(["check", "--assumption", assumption, *CHECK_BACKENDS[backend],
+                    "--input", cov, "--graph", graph, "--out", out])
+            doc = json.loads(out.read_text())
+            del doc["wall_time_ms"]
+            got[assumption] = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert got == GOLDEN_CHECKS[case]
+
+
 # sha256 of every byte-stable file `sp simulate` writes for three small
 # grids, one per mode. The oracle grid has p=10 cells, over the SP cap,
 # and a p=3 cell with nbhd 2.5 > p-1; the sample grid has n=6 < p+4 cells;
@@ -355,7 +463,7 @@ class TestErrorSurface:
         assert main(command + ["--input", str(cov), "--out", "-"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert "cov.csv" in err and "data row 2, column x2" in err
+        assert "cov.csv" in err and "data row 2, column 2" in err
 
     def test_lambda_backend_needs_threshold(self, sem_files, capsys):
         _, cov, _ = sem_files

@@ -323,6 +323,14 @@ class TestFisherZ:
         with pytest.raises(ValueError, match="n >= p"):
             fisher_z_backend(np.zeros((6, 3)), TestConfig(alpha=0.01))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_names_the_data_entry(self, bad):
+        # the entry of the data, not of the moment matrix built from it
+        x = np.random.default_rng(84).standard_normal((50, 3))
+        x[7, 2] = bad
+        with pytest.raises(ValueError, match=rf"entry \(7, 2\) is {bad}, not a finite number"):
+            fisher_z_backend(x, TestConfig(alpha=0.01))
+
     def test_statistic_formula(self):
         # The decision must be exactly: reject iff
         # sqrt(n - |S| - 3) * |atanh(rho_hat)| >= z_{1 - alpha/2}.
@@ -615,6 +623,15 @@ class TestCsvLoaders:
         path = tmp_path / "m.csv"
         path.write_text(f"a,b\n\n1.0,0.5\n , \n0.5,{bad}\n")
         with pytest.raises(ValueError, match=rf"m\.csv: data row 2, column b holds {bad},"):
+            load(path)
+
+    @pytest.mark.parametrize("load, column", [(load_covariance_csv, "1"), (load_samples_csv, "x1")])
+    def test_headerless_files_name_columns_by_their_output_label(self, tmp_path, load, column):
+        # sp learn labels a headerless covariance's vertices 0, 1, ... and a
+        # headerless sample's columns x0, x1, ...
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,0.5\n0.5,nan\n")
+        with pytest.raises(ValueError, match=rf"data row 2, column {column} holds nan,"):
             load(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -490,6 +490,19 @@ class TestSpSearchCholesky:
             by_fill.setdefault(g.num_edges, set()).add(g)
         assert sp_search_cholesky(sigma).winners == by_fill[min(by_fill)]
 
+    @pytest.mark.parametrize("bad", [
+        [[1.0, 0.5, 0.0], [0.1, 1.0, 0.3], [0.0, 0.3, 1.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+    ], ids=["asymmetric", "indefinite", "nan"])
+    def test_both_routes_reject_the_same_matrices(self, bad):
+        with pytest.raises(ValueError) as query:
+            sp_search(gaussian_exact_backend(np.array(bad)))
+        with pytest.raises(ValueError) as factor:
+            sp_search_cholesky(np.array(bad))
+        assert type(factor.value) is type(query.value) is ValueError
+        assert str(factor.value) == str(query.value)
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             sp_search_cholesky(np.eye(3), chol_tol=0.0)
