@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exceptions import CapacityError, MissingSepsetError
-from .graph import EquivClassPattern
+from .graph import Dag, EquivClassPattern, _adjacency_masks, _bits, _colliders
 from .oracle import CiBackend, _pair_subsets
 
 SKELETON_CAP = 12
@@ -145,18 +145,14 @@ def orient_v_structures(skeleton, sepsets: SepsetTable) -> EquivClassPattern:
     a caller error and raises.
     """
     edges = frozenset(tuple(sorted(e)) for e in skeleton)
-    nbrs: dict[int, set[int]] = {}
-    for a, b in edges:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
-    vees = set()
-    for mid, around in nbrs.items():
-        for j, k in combinations(sorted(around), 2):
-            if (j, k) in edges:
-                continue
-            if mid not in sepsets.get(j, k):
-                vees.add((j, mid, k))
-    return EquivClassPattern(skeleton=edges, v_structures=frozenset(vees))
+    adj = _adjacency_masks(Dag(1 + max((k for _, k in edges), default=-1), edges))
+    vees = frozenset(
+        (j, mid, k)
+        for j, k, common in _colliders(adj, adj)
+        for mid in _bits(common)
+        if mid not in sepsets.get(j, k)
+    )
+    return EquivClassPattern(skeleton=edges, v_structures=vees)
 
 
 def sgs_pattern(ci: CiBackend) -> EquivClassPattern:

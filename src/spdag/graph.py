@@ -9,9 +9,9 @@ serialization.
 
 Vertex sets are passed around as ordinary iterables of ints. Internally
 most routines work on bitmasks, which keeps the hot paths (d-separation
-inside search loops) allocation free. A whole edge set can be one int as
+inside search loops) allocation free. A whole edge set is one int as
 well, an edge mask with bit j*p + k for the edge j -> k: the form in
-which the ordering search carries its winners.
+which a Dag stores its edges and the ordering search carries its winners.
 """
 
 from __future__ import annotations
@@ -136,6 +136,8 @@ class Dag:
         Duplicates collapse; self loops and cycles raise.
 
     Instances are immutable and hashable; equality is by ``(p, edges)``.
+    The graph is stored as one edge mask (see :func:`_mask_rows`) with
+    its child and parent rows; the edge set is derived from the mask.
 
     Examples
     --------
@@ -146,42 +148,38 @@ class Dag:
     False
     """
 
-    __slots__ = ("_p", "_edges", "_parent_masks", "_child_masks", "_hash")
+    __slots__ = ("_p", "_mask", "_parent_masks", "_child_masks")
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
         p = int(p)
         if p < 0:
             raise ValueError(f"vertex count must be nonnegative, got {p}")
-        edge_set = frozenset((int(j), int(k)) for j, k in edges)
-        parent_masks = [0] * p
-        child_masks = [0] * p
-        for j, k in edge_set:
+        mask = 0
+        for j, k in edges:
+            j, k = int(j), int(k)
             if not (0 <= j < p and 0 <= k < p):
                 raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
             if j == k:
                 raise ValueError(f"self loop at vertex {j}")
-            parent_masks[k] |= 1 << j
-            child_masks[j] |= 1 << k
-        self._p = p
-        self._edges = edge_set
-        self._parent_masks = tuple(parent_masks)
-        self._child_masks = tuple(child_masks)
-        self._hash = hash((p, edge_set))
+            mask |= 1 << (j * p + k)
+        self._fill(p, mask)
         stuck = _unpeeled(self._child_masks)
         if stuck:
             raise CycleError(
                 f"edge set contains a directed cycle through {list(_bits(stuck))}"
             )
 
+    def _fill(self, p: int, mask: int) -> None:
+        self._p = p
+        self._mask = mask
+        self._child_masks = tuple(_mask_rows(p, mask))
+        self._parent_masks = tuple(_mask_rows(p, _transpose(p, mask)))
+
     @classmethod
     def _from_mask(cls, p: int, mask: int) -> "Dag":
         """The graph of an edge mask (see :func:`_mask_rows`), trusted to be acyclic."""
         g = cls.__new__(cls)
-        g._p = p
-        g._edges = frozenset(divmod(b, p) for b in _bits(mask))
-        g._parent_masks = tuple(_mask_rows(p, _transpose(p, mask)))
-        g._child_masks = tuple(_mask_rows(p, mask))
-        g._hash = hash((p, g._edges))
+        g._fill(p, mask)
         return g
 
     @property
@@ -190,11 +188,11 @@ class Dag:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        return frozenset(divmod(b, self._p) for b in _bits(self._mask))
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return self._mask.bit_count()
 
     def parents(self, k: int) -> frozenset[int]:
         return frozenset(_bits(self._parent_masks[k]))
@@ -203,55 +201,50 @@ class Dag:
         return frozenset(_bits(self._child_masks[j]))
 
     def has_edge(self, j: int, k: int) -> bool:
-        return (j, k) in self._edges
+        return 0 <= j < self._p and 0 <= k < self._p and bool(self._child_masks[j] >> k & 1)
 
     def adjacent(self, j: int, k: int) -> bool:
-        return (j, k) in self._edges or (k, j) in self._edges
+        return self.has_edge(j, k) or self.has_edge(k, j)
 
     def ancestors(self, k: int) -> frozenset[int]:
         """Strict ancestors of ``k`` (``k`` itself excluded)."""
-        return frozenset(_bits(self._ancestral_mask(1 << k) & ~(1 << k)))
+        return frozenset(_bits(_closure(self._parent_masks, 1 << k) & ~(1 << k)))
 
     def descendants(self, j: int) -> frozenset[int]:
         """Strict descendants of ``j``."""
-        mask = 0
-        stack = [j]
-        while stack:
-            fresh = self._child_masks[stack.pop()] & ~mask
-            mask |= fresh
-            stack.extend(_bits(fresh))
-        return frozenset(_bits(mask & ~(1 << j)))
-
-    def _ancestral_mask(self, seed_mask: int) -> int:
-        """Vertices in ``seed_mask`` together with all their ancestors."""
-        mask = seed_mask
-        stack = list(_bits(seed_mask))
-        while stack:
-            fresh = self._parent_masks[stack.pop()] & ~mask
-            mask |= fresh
-            stack.extend(_bits(fresh))
-        return mask
+        return frozenset(_bits(_closure(self._child_masks, 1 << j) & ~(1 << j)))
 
     def with_edge(self, j: int, k: int) -> "Dag":
         """A new graph with edge j -> k added."""
-        return Dag(self._p, self._edges | {(j, k)})
+        return Dag(self._p, self.edges | {(j, k)})
 
     def without_edge(self, j: int, k: int) -> "Dag":
         """A new graph with edge j -> k removed; missing edges raise."""
-        if (j, k) not in self._edges:
+        if not self.has_edge(j, k):
             raise ValueError(f"no edge ({j}, {k}) to remove")
-        return Dag(self._p, self._edges - {(j, k)})
+        return Dag._from_mask(self._p, self._mask & ~(1 << (j * self._p + k)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
-        return self._p == other._p and self._edges == other._edges
+        return self._p == other._p and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._p, self._mask))
 
     def __repr__(self) -> str:
-        return f"Dag(p={self._p}, edges={sorted(self._edges)})"
+        return f"Dag(p={self._p}, edges={sorted(self.edges)})"
+
+
+def _closure(rows: Sequence[int], seed: int) -> int:
+    """``seed`` and all it reaches along ``rows``: parent rows give ancestors."""
+    mask = seed
+    stack = list(_bits(seed))
+    while stack:
+        fresh = rows[stack.pop()] & ~mask
+        mask |= fresh
+        stack.extend(_bits(fresh))
+    return mask
 
 
 def _canonical_query(p: int, j: int, k: int, s: Iterable[int]) -> tuple[int, int, int]:
@@ -304,7 +297,7 @@ def d_separated(g: Dag, j: int, k: int, s: Iterable[int] = ()) -> bool:
 
 def _d_separated(g: Dag, j: int, k: int, s_mask: int) -> bool:
     """d_separated on a valid query, with the conditioning set as a bitmask."""
-    anc_mask = g._ancestral_mask(s_mask) if s_mask else 0
+    anc_mask = _closure(g._parent_masks, s_mask)
     parent_masks = g._parent_masks
     child_masks = g._child_masks
     target = 1 << k
@@ -499,17 +492,7 @@ def topological_orders(g: Dag) -> Iterator[Permutation]:
 
 def consistent_order(g: Dag) -> Permutation:
     """The lexicographically smallest topological order of ``g``."""
-    p = g.p
-    parent_masks = g._parent_masks
-    order = []
-    placed = 0
-    for _ in range(p):
-        for v in range(p):
-            if not placed >> v & 1 and not parent_masks[v] & ~placed:
-                order.append(v)
-                placed |= 1 << v
-                break
-    return Permutation(order)
+    return next(topological_orders(g))
 
 
 def _reach_with(reach: list[int], u: int, v: int) -> list[int]:
@@ -620,7 +603,7 @@ def parse_dag_text(text: str) -> DagDocument:
         base = 0
     lo, hi = base, base + p - 1
     reach = [0] * p
-    edges: set[tuple[int, int]] = set()
+    mask = 0
     for j_raw, k_raw, line_no in raw_edges:
         if not (lo <= j_raw <= hi and lo <= k_raw <= hi):
             raise DagTextError(
@@ -630,15 +613,15 @@ def parse_dag_text(text: str) -> DagDocument:
         j, k = j_raw - base, k_raw - base
         if j == k:
             raise DagTextError(f"self loop at vertex {j_raw}", line_no)
-        if (j, k) in edges:
+        if mask >> (j * p + k) & 1:
             raise DagTextError(f"duplicate edge {j_raw} -> {k_raw}", line_no)
         if reach[k] >> j & 1:
             raise DagTextError(
                 f"edge {j_raw} -> {k_raw} closes a directed cycle", line_no
             )
-        edges.add((j, k))
+        mask |= 1 << (j * p + k)
         reach = _reach_with(reach, j, k)
-    return DagDocument(Dag(p, edges), base)
+    return DagDocument(Dag._from_mask(p, mask), base)
 
 
 def format_dag_text(g: Dag, label_base: int = 0) -> str:

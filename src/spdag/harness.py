@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -74,14 +75,15 @@ class ExperimentConfig:
     mode: str = "sample"
 
     def __post_init__(self):
-        object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(
-            self, "alpha_list", tuple(float(a) for a in self.alpha_list)
-        )
-        object.__setattr__(
-            self, "nbhd_list", tuple(float(b) for b in self.nbhd_list)
-        )
+        for key, kind in (("p_list", int), ("n_list", int), ("alpha_list", float),
+                          ("nbhd_list", float), ("methods", str)):
+            object.__setattr__(self, key, _as_tuple(key, getattr(self, key), kind))
+        for key in ("trials", "master_seed"):
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
         if not self.p_list or not self.nbhd_list:
             raise ValueError("the grid needs at least one p and one nbhd value")
         if self.trials < 1:
@@ -98,19 +100,24 @@ class ExperimentConfig:
         for n in self.n_list:
             if n < 1:
                 raise ValueError(f"sample count must be positive, got {n}")
-        seen = []
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; pick from {METHODS}")
-            if m not in seen:
-                seen.append(m)
         # canonical order keeps record files stable however the config
         # spells the list
-        object.__setattr__(
-            self, "methods", tuple(m for m in METHODS if m in seen)
-        )
+        object.__setattr__(self, "methods", tuple(m for m in METHODS if m in self.methods))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; pick from {MODES}")
+
+
+def _as_tuple(key: str, values, kind) -> tuple:
+    """values as a tuple of kind; a scalar, a string or a bad member raises naming key."""
+    try:
+        if not isinstance(values, str):
+            return tuple(kind(v) for v in values)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be a list of {kind.__name__}, got {values!r}")
 
 
 class Cell(NamedTuple):
@@ -187,18 +194,21 @@ def config_from_text(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         items = [v.strip() for v in value.split(",") if v.strip()]
-        if key in ("p_list", "n_list"):
-            doc[key] = [int(v) for v in items]
-        elif key in ("alpha_list", "nbhd_list"):
-            doc[key] = [float(v) for v in items]
-        elif key in ("trials", "master_seed"):
-            doc[key] = int(items[0])
-        elif key == "methods":
-            doc[key] = items
-        elif key == "mode":
-            doc[key] = items[0]
-        else:
+        if key not in {f.name for f in fields(ExperimentConfig)}:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
+        try:
+            if key in ("p_list", "n_list"):
+                doc[key] = [int(v) for v in items]
+            elif key in ("alpha_list", "nbhd_list"):
+                doc[key] = [float(v) for v in items]
+            elif key in ("trials", "master_seed"):
+                doc[key] = int(items[0])
+            elif key == "methods":
+                doc[key] = items
+            else:
+                doc[key] = items[0]
+        except (ValueError, IndexError):
+            raise ValueError(f"line {line_no}: bad value for {key}: {value.strip()!r}") from None
     return config_from_json(doc)
 
 
@@ -228,7 +238,7 @@ def _cell_skip_reason(cfg: ExperimentConfig, cell: Cell) -> str | None:
 
 def _method_skip_reason(method: str, cell: Cell) -> str | None:
     if method == "sp" and cell.p > PERMUTATION_CAP:
-        return f"p={cell.p} exceeds the permutation scan cap {PERMUTATION_CAP}"
+        return f"p={cell.p} exceeds the 2^p prefix-set search cap {PERMUTATION_CAP}"
     if method in ("sgs", "pc") and cell.p > SKELETON_CAP:
         return f"p={cell.p} exceeds the skeleton search cap {SKELETON_CAP}"
     return None

@@ -300,7 +300,8 @@ class PartialCorrelationBackend(CiBackend):
     iff sqrt(n - |S| - 3) * |atanh(rho)| < level (the Fisher-z rule,
     level being the two-sided normal quantile). On every rule a pair in
     a collinear subset, or with |rho| >= 1 from rounding, counts as
-    dependent and bumps :attr:`collinear_warnings`.
+    dependent and is recorded; :attr:`collinear_warnings` counts each
+    such query once, however often it is asked.
     """
 
     def __init__(self, moments, level: float, n: int | None = None):
@@ -308,11 +309,16 @@ class PartialCorrelationBackend(CiBackend):
         self._level = float(level)
         self._n = n
         self._table = _SubsetTable(self._corr)
-        self.collinear_warnings = 0
+        self._collinear: set = set()
 
     @property
     def p(self) -> int:
         return self._corr.shape[0]
+
+    @property
+    def collinear_warnings(self) -> int:
+        """How many distinct queries, pair and conditioning set, met a collinear subset."""
+        return len(self._collinear)
 
     @property
     def subsets_factored(self) -> int:
@@ -350,19 +356,18 @@ class PartialCorrelationBackend(CiBackend):
         return self._statistic(*_canonical_query(self.p, j, k, s))
 
     def is_independent(self, j, k, s=()):
-        t = self._statistic(*_canonical_query(self.p, j, k, s))
+        query = _canonical_query(self.p, j, k, s)
+        t = self._statistic(*query)
         if t == math.inf:
-            self.collinear_warnings += 1
+            self._collinear.add(query)
             return False
         return self._independent(t)
 
     def parents(self, mask: int, k: int) -> tuple:
         """The j in mask that stay dependent on k given mask minus {j}.
 
-        Reads one column of the entry for mask + {k} and answers as
-        is_independent would. A collinear answer is counted only for
-        j < k, so reading every column of a subset counts each collinear
-        pair once, as a cache in front of is_independent would.
+        Reads one column of the entry for mask + {k} and answers, and
+        records collinear queries, as is_independent would.
         """
         if not mask:
             return ()
@@ -374,7 +379,9 @@ class PartialCorrelationBackend(CiBackend):
             kjk, kjj, kkk = col
             size = len(members) - 1
             stats = [self._rule(-x / math.sqrt(y * kkk), size) for x, y in zip(kjk, kjj)]
-        self.collinear_warnings += stats[: _rank(mask, k)].count(math.inf)
+        if math.inf in stats:
+            self._collinear.update((min(j, k), max(j, k), mask ^ 1 << j)
+                                   for j, t in zip(members, stats) if t == math.inf)
         return tuple(j for j, t in zip(members, stats) if not self._independent(t))
 
 

@@ -272,7 +272,7 @@ def sp_search_cholesky(
     sigma is read as a CovarianceMatrix, as the query route's backends
     read it, so both routes reject the same matrices with one ValueError.
     """
-    if chol_tol <= 0:
+    if not chol_tol > 0:  # NaN fails too
         raise ValueError(f"tolerance must be positive, got {chol_tol}")
     sigma = CovarianceMatrix(sigma)
     p = sigma.p

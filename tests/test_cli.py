@@ -348,7 +348,7 @@ GOLDEN_GRIDS = {
             "fig_10_100_0.01.csv": "4fd553124142657508e560cdb124ae5949fc90ae95c253988eba177a8206e858",
             "fig_3_100_0.01.csv": "c5718df7694dbb2ddc4155af0b9483060b5a52bdb1b273e79692609f63e1b9a5",
             "fig_4_100_0.01.csv": "06a92007340924d14ce397ff9aba385f8df02aab1b66c20d700aefe6d2d3be3c",
-            "summary.json": "68b0b85fb5f2594d1178a5e96bd987b00fbb061b5823b97777666e3653ddc203",
+            "summary.json": "660f3f05cb5c83d7310d529d1e98086d0a1d55249582e254f9e985ba76ba4689",
             "trials.csv": "3bf70176753875240408ebcd2dbf24c06ff4a5133c6e82c572e8ed4cfc584144",
         },
     ),
@@ -420,6 +420,21 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "turbo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, key", [
+        ("grid.cfg", "p_list=4\nnbhd_list=1\ntrials=\n", "trials"),
+        ("grid.cfg", "p_list=4,x\nnbhd_list=1\n", "p_list"),
+        ("grid.json", '{"p_list": 4, "nbhd_list": [1]}', "p_list"),
+        ("grid.json", '{"p_list": [4], "nbhd_list": [1], "trials": "2"}', "trials"),
+    ], ids=["empty-value", "bad-item", "scalar-list", "string-count"])
+    def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, name, text, key):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert key in err
+
 
 class TestErrorSurface:
     def test_cycle_is_a_clean_failure(self, tmp_path, capsys):
@@ -464,6 +479,14 @@ class TestErrorSurface:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert "cov.csv" in err and "data row 2, column 2" in err
+
+    def test_nan_cholesky_tolerance_is_rejected(self, sem_files, capsys):
+        _, cov, _ = sem_files
+        assert main(["learn", "--backend", "cholesky", "--tol", "nan",
+                     "--input", str(cov), "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "tolerance must be positive, got nan" in err
 
     def test_lambda_backend_needs_threshold(self, sem_files, capsys):
         _, cov, _ = sem_files

@@ -8,13 +8,18 @@ Core claims checked here:
   * ordering enumeration and the fixed order are consistent and complete
   * the labeled-DAG enumerator hits the known counts and the brute set
   * text parsing round-trips and reports errors with line numbers
+  * a graph built from edges in any order or from its edge mask is one graph
 """
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spdag.baselines import orient_v_structures, sgs_skeleton
 from spdag.exceptions import CapacityError, DagTextError
 from spdag.graph import (
     CycleError,
@@ -33,6 +38,7 @@ from spdag.graph import (
     unshielded_triples,
     v_structures,
 )
+from spdag.oracle import dsep_backend
 
 from reference import (
     all_dags_brute,
@@ -99,6 +105,46 @@ class TestConstruction:
         assert g.without_edge(0, 3) == CHAIN4
         with pytest.raises(ValueError):
             CHAIN4.without_edge(3, 0)
+
+
+@st.composite
+def dag_edge_lists(draw, max_p=7):
+    """(p, edges, the same edges reordered) for a random DAG, p <= max_p."""
+    p = draw(st.integers(0, max_p))
+    order = draw(st.permutations(range(p)))
+    pairs = [(order[a], order[b]) for a, b in combinations(range(p), 2)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    return p, edges, draw(st.permutations(edges))
+
+
+class TestMaskStorage:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=dag_edge_lists())
+    def test_edges_and_mask_build_one_graph(self, case):
+        p, edges, shuffled = case
+        g = Dag(p, edges)
+        mask = sum(1 << (j * p + k) for j, k in edges)
+        nxg = nx.DiGraph(edges)
+        nxg.add_nodes_from(range(p))
+        for h in (g, Dag(p, shuffled), Dag._from_mask(p, mask)):
+            assert h == g and hash(h) == hash(g)
+            assert h.edges == frozenset(edges) and h.num_edges == len(edges)
+            for v in range(p):
+                assert h.parents(v) == {j for j, k in edges if k == v}
+                assert h.children(v) == {k for j, k in edges if j == v}
+                assert h.ancestors(v) == nx.ancestors(nxg, v)
+                assert h.descendants(v) == nx.descendants(nxg, v)
+            for j in range(-1, p + 1):
+                for k in range(-1, p + 1):
+                    assert h.has_edge(j, k) is ((j, k) in edges)
+                    assert h.adjacent(j, k) is ((j, k) in edges or (k, j) in edges)
+        for e in edges:
+            assert g.without_edge(*e) == Dag(p, [f for f in edges if f != e])
+        assert consistent_order(g).order == min(o.order for o in topological_orders(g))
+        assert parse_dag_text(format_dag_text(g)).dag == g
+        sgs = orient_v_structures(*sgs_skeleton(dsep_backend(g)))
+        assert sgs.v_structures == v_structures(g)
 
 
 class TestDSeparation:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from spdag.baselines import sgs_skeleton
 from spdag.exceptions import NumericalError
 from spdag.graph import Dag, d_separated
 from spdag.oracle import (
@@ -499,6 +500,29 @@ class TestCollinearRule:
             sp_search(a)
             sp_search(b)
             assert a.collinear_warnings == b.collinear_warnings
+
+
+    def test_count_is_the_set_of_collinear_queries(self):
+        # Each pair and conditioning set is counted once, however often it
+        # is asked: a repeated search leaves the count, and SP then SGS on
+        # one backend counts the union of what each met alone.
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((500, 5))
+        x[:, 4] = x[:, 1]
+
+        def fresh():
+            return fisher_z_backend(x, TestConfig(alpha=0.01))
+
+        sp_only, sgs_only, both = fresh(), fresh(), fresh()
+        sp_search(sp_only)
+        sgs_skeleton(sgs_only)
+        every = [q for q in iter_triples(5) if sp_only.statistic(*q) == math.inf]
+        assert sp_only.collinear_warnings == len(every) > sgs_only.collinear_warnings > 0
+        sp_search(both)
+        sp_search(both)
+        assert both.collinear_warnings == sp_only.collinear_warnings
+        sgs_skeleton(both)
+        assert both.collinear_warnings == len(sp_only._collinear | sgs_only._collinear)
 
 
 class TestCachingWrapper:

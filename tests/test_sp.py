@@ -504,8 +504,11 @@ class TestSpSearchCholesky:
         assert str(factor.value) == str(query.value)
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            sp_search_cholesky(np.eye(3), chol_tol=0.0)
+        chain = LinearSem(Dag(3, [(0, 1), (1, 2)]), {(0, 1): 0.8, (1, 2): 0.8})
+        assert sp_search_cholesky(covariance_of(chain)).min_edges == 2
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                sp_search_cholesky(covariance_of(chain), chol_tol=tol)
 
     def test_capacity(self):
         with pytest.raises(CapacityError, match="--max-p"):
