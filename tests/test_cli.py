@@ -34,6 +34,18 @@ def sem_files(tmp_path):
     return sem, cov, truth
 
 
+@pytest.fixture
+def dense_cov(tmp_path):
+    """A complete DAG on 6 vertices: all 720 orderings induce a winner."""
+    rng = np.random.default_rng(6)
+    edges = [(j, k) for j in range(6) for k in range(j + 1, 6)]
+    weights = {e: rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0)) for e in edges}
+    cov = tmp_path / "dense.csv"
+    np.savetxt(cov, np.asarray(covariance_of(LinearSem(Dag(6, edges), weights))),
+               delimiter=",")
+    return cov
+
+
 def run_ok(args):
     assert main([str(a) for a in args]) == 0
 
@@ -64,18 +76,11 @@ class TestLearn:
         for key in ("min_edges", "winners", "classes", "unique_class"):
             assert da[key] == db[key]
 
-    def test_dense_routes_write_every_winner_in_order(self, tmp_path):
-        # a complete DAG on 6 vertices: all 720 orderings induce a winner
-        rng = np.random.default_rng(6)
-        edges = [(j, k) for j in range(6) for k in range(j + 1, 6)]
-        weights = {e: rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0)) for e in edges}
-        cov = tmp_path / "dense.csv"
-        np.savetxt(cov, np.asarray(covariance_of(LinearSem(Dag(6, edges), weights))),
-                   delimiter=",")
+    def test_dense_routes_write_every_winner_in_order(self, dense_cov, tmp_path):
         docs = []
         for backend in ("gaussian", "cholesky"):
             out = tmp_path / f"{backend}.json"
-            run_ok(["learn", "--backend", backend, "--input", cov, "--out", out])
+            run_ok(["learn", "--backend", backend, "--input", dense_cov, "--out", out])
             doc = json.loads(out.read_text())
             assert len(doc["winners"]) == 720
             assert all(w == sorted(w) for w in doc["winners"])
@@ -152,6 +157,53 @@ class TestLearn:
                      "--out", str(out)])
         assert code == 1
         assert "--max-p" in capsys.readouterr().err
+
+
+# sha256 of the `sp learn` JSON, wall_time_ms dropped, on five inputs: the
+# 1-based collider file; the sem_files covariance on both routes and at
+# lambda 0.3, where eight DAGs in three classes tie; the complete
+# DAG on both routes (720 winners, one class); and a 2,000-row sample of
+# the sem_files model with a header row. No partial correlation of that
+# covariance lies within 0.07 of 0.3, and no Fisher p-value of that sample
+# within a factor of 6 of 0.01. The hashes were taken before the search
+# built its classes during the DP, and pin the winners' order as well as
+# the classes. Any change to a hash is a change to a result and must be
+# deliberate.
+GOLDEN_LEARNS = {
+    "dsep collider": "4662f2ddc188cf5b34ff397a16e2ad9d3fc84a3ce2d8fe42162d5e49388035e5",
+    "sparse gaussian": "29f5a8f4b3a19978962da0fa7ceac88ba9ea364e3d08900322eed6ed9f0c7552",
+    "sparse cholesky": "29f5a8f4b3a19978962da0fa7ceac88ba9ea364e3d08900322eed6ed9f0c7552",
+    "sparse lambda 0.3": "28d59fb9d4ad3a5d4713378d175ebdbdd6bd9153a68ab68007ae684c5492c2bf",
+    "dense gaussian": "6d15b1f1d0dfb9af661107b5d108fb7378c15ad9c1bf1bc2591ae91fb0a4095c",
+    "dense cholesky": "6d15b1f1d0dfb9af661107b5d108fb7378c15ad9c1bf1bc2591ae91fb0a4095c",
+    "fisher sample": "4bc6bd282382c60b6cd2476fa4906658faa1ac8e3d888c82213f7fe01e68292c",
+}
+
+
+@pytest.fixture
+def learn_inputs(collider_file, sem_files, dense_cov, tmp_path):
+    sem, cov, _ = sem_files
+    data = tmp_path / "sample.csv"
+    np.savetxt(data, sample(sem, 2000, np.random.default_rng(3)), delimiter=",",
+               header=",".join(f"v{i}" for i in range(5)), comments="")
+    return {
+        "dsep collider": ["--backend", "dsep", "--input", collider_file],
+        "sparse gaussian": ["--backend", "gaussian", "--input", cov],
+        "sparse cholesky": ["--backend", "cholesky", "--input", cov],
+        "sparse lambda 0.3": ["--backend", "lambda", "--lambda", "0.3", "--input", cov],
+        "dense gaussian": ["--backend", "gaussian", "--input", dense_cov],
+        "dense cholesky": ["--backend", "cholesky", "--input", dense_cov],
+        "fisher sample": ["--backend", "fisher", "--input", data],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LEARNS))
+def test_learn_matches_golden_hash(learn_inputs, tmp_path, case):
+    out = tmp_path / "r.json"
+    run_ok(["learn", *learn_inputs[case], "--out", out])
+    doc = json.loads(out.read_text())
+    del doc["wall_time_ms"]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == GOLDEN_LEARNS[case]
 
 
 class TestBaseline:
