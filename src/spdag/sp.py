@@ -19,16 +19,17 @@ an exact Gaussian oracle the two routes coincide.
 
 A dense model has many sparsest orderings (all p! for a complete DAG),
 so winners travel as int edge masks, bit j*p + k standing for the edge
-j -> k: the DP extends a winner by OR-ing in the parents a step adds,
-SpResult checks the masks and sorts them into classes with bit
-operations, and Dag objects are built only when asked for.
+j -> k, the classes come from the DP's forward walk, not from a loop
+over winners, and Dag objects are built only when asked for.  The
+checked SpResult(p, masks) is for masks built outside the search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations
 
 from .exceptions import CapacityError
 from .graph import (
@@ -76,6 +77,8 @@ class SpResult:
     edge count, classes the equivalence classes they fall into,
     permutations_scanned the size of the searched space, p!, and
     winners the same graphs as Dag objects, built on first access.
+    SpResult(p, masks) checks the masks and keys each one into its
+    class; the search, which keys its classes as it goes, skips both.
     """
 
     p: int
@@ -101,9 +104,16 @@ class SpResult:
             both = m | _transpose(p, m)
             reps.setdefault((both, _colliders(child, _mask_rows(p, both))), m)
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(
-            self, "_classes", frozenset(pattern_of(Dag._from_mask(p, m)) for m in reps.values())
-        )
+        object.__setattr__(self, "_classes", _patterns(p, reps.values()))
+
+    @classmethod
+    def _from_search(cls, p: int, masks: frozenset, reps) -> "SpResult":
+        """A result the DP built, trusted, with reps one mask per class."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_classes", _patterns(p, reps))
+        return self
 
     @cached_property
     def winners(self) -> frozenset:
@@ -143,6 +153,10 @@ class SpResult:
         return sorted(self.classes, key=EquivClassPattern.sort_key)
 
 
+def _patterns(p: int, reps) -> frozenset:
+    return frozenset(pattern_of(Dag._from_mask(p, m)) for m in reps)
+
+
 def build_dag_for_permutation(pi, ci: CiBackend) -> Dag:
     """Construct the DAG a single vertex ordering induces.
 
@@ -174,11 +188,18 @@ def _sparsest(p: int, parents) -> SpResult:
     vertices before it, so parents(mask, k) scores appending k to the
     prefix set mask and the minimum over all p! orderings is a DP over
     the 2^p prefix sets (the exact order DP of Silander and Myllymaki).
-    Every tying step is kept, as (previous prefix, edge mask of the
-    added parents); the prefixes lying on an optimal ordering are then
-    marked backwards from the full set, and the winners' edge masks are
-    built forwards over them one prefix size at a time, each extension
-    a single OR, so a winner reached by many orderings is held once.
+    Every tying step is kept, as (previous prefix, k, k's parents in
+    ascending order); the prefixes lying on an optimal ordering are then
+    marked backwards from the full set.  One forward walk over them, a
+    prefix size at a time, builds the winners' edge masks, each extension
+    a single OR, so a winner reached by many orderings is held once.  It
+    also keeps one winner per class key: the skeleton (each edge in both
+    directions) and a mask with bit (a*p + b)*p + k for each collider
+    a -> k <- b, a < b.  A step adds only edges into k, so adjacency
+    inside the prefix and the colliders at its vertices never change:
+    the step adds k's edges to the skeleton and, as colliders, the pairs
+    of k's parents nonadjacent in the old one.  No winner is peeled or
+    keyed, and pattern_of runs once per class.
     """
     full = (1 << p) - 1
     best = [0] + [math.inf] * full
@@ -192,7 +213,7 @@ def _sparsest(p: int, parents) -> SpResult:
             count = best[mask] + len(found)
             if count > best[nxt]:
                 continue
-            step = (mask, sum(1 << (j * p + k) for j in found))
+            step = (mask, k, found)
             if count < best[nxt]:
                 best[nxt] = count
                 steps[nxt] = [step]
@@ -204,15 +225,37 @@ def _sparsest(p: int, parents) -> SpResult:
     for mask in range(full, 0, -1):  # every step leads to a larger mask
         if mask in on_path:
             by_size[bin(mask).count("1")].append(mask)
-            on_path.update(prev for prev, _ in steps[mask])
+            on_path.update(prev for prev, _, _ in steps[mask])
 
-    level = {0: {0}}
+    @cache  # many steps append the same k with the same parents
+    def step_bits(k: int, found: tuple) -> tuple:
+        added = sum(1 << (j * p + k) for j in found)
+        both = added | sum(1 << (k * p + j) for j in found)
+        pairs = [(a * p + b, 1 << (a * p + b) * p + k) for a, b in combinations(found, 2)]
+        return added, both, pairs
+
+    level = {0: ({0}, {(0, 0): 0})}  # prefix -> (winners, class key -> a winner)
     for masks in by_size[1:]:
-        level = {
-            mask: {edges | added for prev, added in steps[mask] for edges in level[prev]}
-            for mask in masks
-        }
-    return SpResult(p, frozenset(level[full]))
+        walked = {}
+        for mask in masks:
+            winners, reps = set(), {}
+            for prev, k, found in steps[mask]:
+                old_winners, old_reps = level[prev]
+                if not found:  # no edge added: winners and keys carry over
+                    winners |= old_winners
+                    reps.update(old_reps)
+                    continue
+                added, both, pairs = step_bits(k, found)
+                winners.update(m | added for m in old_winners)
+                for (skel, coll), m in old_reps.items():
+                    for pair, bit in pairs:
+                        if not skel >> pair & 1:
+                            coll |= bit
+                    reps[skel | both, coll] = m | added  # any winner of the class will do
+            walked[mask] = winners, reps
+        level = walked
+    winners, reps = level[full]
+    return SpResult._from_search(p, frozenset(winners), reps.values())
 
 
 def _check_cap(p: int, max_p: int) -> None:

@@ -155,6 +155,37 @@ class TestSpSearch:
         assert got.min_edges == want.min_edges
         assert got.winners == want.winners
 
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        p=st.sampled_from(range(1, 8)),
+        route=st.sampled_from(("gaussian", "lambda", "explicit", "cholesky")),
+        share=st.sampled_from((0.25, 0.5, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dp_classes_match_the_checked_constructor(self, p, route, share, seed):
+        # The search keys classes during its forward walk and trusts its
+        # winners: pattern_of runs once per class and no winner is peeled.
+        # The checked constructor, which keys every winner, is the oracle.
+        rng = np.random.default_rng(seed)
+        if p > 1:
+            sigma = covariance_of(random_sem(GenConfig(p, share * (p - 1)), rng))
+        else:
+            sigma = np.eye(1)
+        search = {
+            "gaussian": lambda: sp_search(gaussian_exact_backend(sigma)),
+            "lambda": lambda: sp_search(lambda_backend(sigma, rng.uniform(0.05, 0.4))),
+            "explicit": lambda: sp_search(
+                random_explicit_backends(seed, 1, p=p, density=share * 0.9)[0]),
+            "cholesky": lambda: sp_search_cholesky(sigma),
+        }[route]
+        peel = mock.Mock(side_effect=AssertionError("the search peeled a winner"))
+        with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy, \
+                mock.patch("spdag.graph._unpeeled", peel), mock.patch("spdag.sp._unpeeled", peel):
+            r = search()
+        assert spy.call_count == len(r.classes)
+        # the checked constructor also rejects cycles and unequal edge counts
+        assert r.classes == SpResult(p, r.masks).classes
+
     def test_issues_each_distinct_query_once(self):
         # the prefix DP asks about every pair (j, k) given every subset of
         # the other p - 2 vertices, and about nothing else
