@@ -199,7 +199,7 @@ def cmd_check(args) -> int:
     if args.assumption == "lambda-smr" and args.backend != "lambda":
         raise UsageError("--assumption lambda-smr requires --backend lambda")
     built, _ = _build_backend(args)
-    report = ASSUMPTIONS[args.assumption](doc.dag, caching_wrapper(built))
+    report = ASSUMPTIONS[args.assumption](doc.dag, built)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     out = {
         "assumption": args.assumption,

@@ -133,7 +133,8 @@ class Dag:
         Number of vertices.
     edges:
         Iterable of ``(j, k)`` pairs, each meaning an edge j -> k.
-        Duplicates collapse; self loops and cycles raise.
+        Duplicates collapse; a directed cycle, a self loop included,
+        raises :class:`CycleError` (a ``ValueError``).
 
     Instances are immutable and hashable; equality is by ``(p, edges)``.
     The graph is stored as one edge mask (see :func:`_mask_rows`) with
@@ -160,7 +161,7 @@ class Dag:
             if not (0 <= j < p and 0 <= k < p):
                 raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
             if j == k:
-                raise ValueError(f"self loop at vertex {j}")
+                raise CycleError(f"self loop at vertex {j}")
             mask |= 1 << (j * p + k)
         self._fill(p, mask)
         stuck = _unpeeled(self._child_masks)

@@ -92,8 +92,8 @@ class ExperimentConfig:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"test size must sit in (0, 1), got {a}")
         for b in self.nbhd_list:
-            if b <= 0.0:
-                raise ValueError(f"expected neighbourhood must be positive, got {b}")
+            if not b > 0.0:  # NaN fails too
+                raise ValueError(f"nbhd_list entries must be positive, got {b}")
         for p in self.p_list:
             if p < 2:
                 raise ValueError(f"need at least two vertices, got p={p}")

@@ -19,31 +19,21 @@ an exact Gaussian oracle the two routes coincide.
 
 A dense model has many sparsest orderings (all p! for a complete DAG),
 so winners travel as int edge masks, bit j*p + k standing for the edge
-j -> k, the classes come from the DP's forward walk, not from a loop
-over winners, and Dag objects are built only when asked for.  The
-checked SpResult(p, masks) is for masks built outside the search.
+j -> k, and Dag objects are built only when asked for.  The DP's forward
+walk groups the winners by class as it builds them, so the search calls
+pattern_of once per class; the checked SpResult(p, masks), for masks
+built outside the search, calls it on every mask's Dag instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 
 from .exceptions import CapacityError
-from .graph import (
-    CycleError,
-    Dag,
-    EquivClassPattern,
-    _bits,
-    _colliders,
-    _mask_rows,
-    _transpose,
-    _unpeeled,
-    as_permutation,
-    pattern_of,
-)
+from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
 from .oracle import (
     CachingBackend,
     CiBackend,
@@ -77,12 +67,14 @@ class SpResult:
     edge count, classes the equivalence classes they fall into,
     permutations_scanned the size of the searched space, p!, and
     winners the same graphs as Dag objects, built on first access.
-    SpResult(p, masks) checks the masks and keys each one into its
-    class; the search, which keys its classes as it goes, skips both.
+    SpResult(p, masks) checks the masks, builds each one's Dag (which
+    rejects cycles) and classes it with pattern_of; the search, which
+    groups its winners by class as it goes, skips all of that.
     """
 
     p: int
     masks: frozenset
+    classes: frozenset = field(init=False, compare=False)
 
     def __post_init__(self):
         p, masks = self.p, frozenset(self.masks)
@@ -93,26 +85,18 @@ class SpResult:
             raise ValueError(f"winners differ in edge count: {sorted(counts)}")
         if min(masks) < 0 or max(masks) >> p * p:
             raise ValueError(f"edge mask out of range for p={p}")
-        # Two winners share a class exactly when they share the skeleton (the
-        # mask with each edge in both directions) and the common children of
-        # each nonadjacent pair, so pattern_of runs once per class.
-        reps = {}
-        for m in masks:
-            child = _mask_rows(p, m)
-            if _unpeeled(child):
-                raise CycleError(f"winner {sorted(divmod(b, p) for b in _bits(m))} has a cycle")
-            both = m | _transpose(p, m)
-            reps.setdefault((both, _colliders(child, _mask_rows(p, both))), m)
+        dags = (Dag(p, (divmod(b, p) for b in _bits(m))) for m in masks)
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "_classes", _patterns(p, reps.values()))
+        object.__setattr__(self, "classes", frozenset(map(pattern_of, dags)))
 
     @classmethod
-    def _from_search(cls, p: int, masks: frozenset, reps) -> "SpResult":
-        """A result the DP built, trusted, with reps one mask per class."""
+    def _from_search(cls, p: int, groups) -> "SpResult":
+        """A result the DP built, trusted: groups holds one set of masks per class."""
         self = cls.__new__(cls)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "_classes", _patterns(p, reps))
+        object.__setattr__(self, "masks", frozenset().union(*groups))
+        classes = frozenset(pattern_of(Dag._from_mask(p, next(iter(g)))) for g in groups)
+        object.__setattr__(self, "classes", classes)
         return self
 
     @cached_property
@@ -124,12 +108,8 @@ class SpResult:
         return next(iter(self.masks)).bit_count()
 
     @property
-    def classes(self) -> frozenset:
-        return self._classes
-
-    @property
     def unique_class(self) -> bool:
-        return len(self._classes) == 1
+        return len(self.classes) == 1
 
     @property
     def permutations_scanned(self) -> int:
@@ -153,10 +133,6 @@ class SpResult:
         return sorted(self.classes, key=EquivClassPattern.sort_key)
 
 
-def _patterns(p: int, reps) -> frozenset:
-    return frozenset(pattern_of(Dag._from_mask(p, m)) for m in reps)
-
-
 def build_dag_for_permutation(pi, ci: CiBackend) -> Dag:
     """Construct the DAG a single vertex ordering induces.
 
@@ -177,10 +153,6 @@ def build_dag_for_permutation(pi, ci: CiBackend) -> Dag:
     return Dag(len(order), edges)
 
 
-def _set_of(mask: int) -> tuple:
-    return tuple(_bits(mask))
-
-
 def _sparsest(p: int, parents) -> SpResult:
     """Subset DP over ordering prefixes, returning every minimal DAG.
 
@@ -188,18 +160,21 @@ def _sparsest(p: int, parents) -> SpResult:
     vertices before it, so parents(mask, k) scores appending k to the
     prefix set mask and the minimum over all p! orderings is a DP over
     the 2^p prefix sets (the exact order DP of Silander and Myllymaki).
-    Every tying step is kept, as (previous prefix, k, k's parents in
-    ascending order); the prefixes lying on an optimal ordering are then
-    marked backwards from the full set.  One forward walk over them, a
-    prefix size at a time, builds the winners' edge masks, each extension
-    a single OR, so a winner reached by many orderings is held once.  It
-    also keeps one winner per class key: the skeleton (each edge in both
+    Every tying step is kept, as (k, k's parents in ascending order),
+    the previous prefix being the set without k; the prefixes lying on
+    an optimal ordering are then marked backwards from the full set.
+    One forward walk over them, a prefix size at a time, builds the
+    winners' edge masks, each extension a single OR, so a winner reached
+    by many orderings is held once.  Each prefix maps class keys to the
+    set of its winners with that key: the skeleton (each edge in both
     directions) and a mask with bit (a*p + b)*p + k for each collider
     a -> k <- b, a < b.  A step adds only edges into k, so adjacency
     inside the prefix and the colliders at its vertices never change:
     the step adds k's edges to the skeleton and, as colliders, the pairs
-    of k's parents nonadjacent in the old one.  No winner is peeled or
-    keyed, and pattern_of runs once per class.
+    of k's parents nonadjacent in the old one.  A key is a function of
+    the mask, so the groups partition the winners.  Keys are built per
+    class, not per winner, no winner is peeled, and pattern_of runs once
+    per class.
     """
     full = (1 << p) - 1
     best = [0] + [math.inf] * full
@@ -211,21 +186,15 @@ def _sparsest(p: int, parents) -> SpResult:
             found = parents(mask, k)
             nxt = mask | 1 << k
             count = best[mask] + len(found)
-            if count > best[nxt]:
-                continue
-            step = (mask, k, found)
             if count < best[nxt]:
-                best[nxt] = count
-                steps[nxt] = [step]
-            else:
-                steps[nxt].append(step)
+                best[nxt], steps[nxt] = count, []
+            if count == best[nxt]:
+                steps[nxt].append((k, found))
 
-    by_size: list = [[] for _ in range(p + 1)]
-    on_path = {full}
-    for mask in range(full, 0, -1):  # every step leads to a larger mask
-        if mask in on_path:
-            by_size[bin(mask).count("1")].append(mask)
-            on_path.update(prev for prev, _, _ in steps[mask])
+    on_path: list = [set() for _ in range(p)] + [{full}]  # by size, back from the full set
+    for size in range(p, 0, -1):
+        for mask in on_path[size]:
+            on_path[size - 1].update(mask ^ 1 << k for k, _ in steps[mask])
 
     @cache  # many steps append the same k with the same parents
     def step_bits(k: int, found: tuple) -> tuple:
@@ -234,28 +203,24 @@ def _sparsest(p: int, parents) -> SpResult:
         pairs = [(a * p + b, 1 << (a * p + b) * p + k) for a, b in combinations(found, 2)]
         return added, both, pairs
 
-    level = {0: ({0}, {(0, 0): 0})}  # prefix -> (winners, class key -> a winner)
-    for masks in by_size[1:]:
-        walked = {}
-        for mask in masks:
-            winners, reps = set(), {}
-            for prev, k, found in steps[mask]:
-                old_winners, old_reps = level[prev]
-                if not found:  # no edge added: winners and keys carry over
-                    winners |= old_winners
-                    reps.update(old_reps)
+    level = {0: {(0, 0): {0}}}  # prefix -> class key -> the class's winners
+    for masks in on_path[1:]:
+        walked = {mask: {} for mask in masks}
+        for mask, groups in walked.items():
+            for k, found in steps[mask]:
+                old = level[mask ^ 1 << k]
+                if not found:  # no edge added: keys and winners carry over
+                    for key, group in old.items():
+                        groups.setdefault(key, set()).update(group)
                     continue
                 added, both, pairs = step_bits(k, found)
-                winners.update(m | added for m in old_winners)
-                for (skel, coll), m in old_reps.items():
+                for (skel, coll), group in old.items():
                     for pair, bit in pairs:
                         if not skel >> pair & 1:
                             coll |= bit
-                    reps[skel | both, coll] = m | added  # any winner of the class will do
-            walked[mask] = winners, reps
+                    groups.setdefault((skel | both, coll), set()).update(m | added for m in group)
         level = walked
-    winners, reps = level[full]
-    return SpResult._from_search(p, frozenset(winners), reps.values())
+    return SpResult._from_search(p, level[full].values())
 
 
 def _check_cap(p: int, max_p: int) -> None:
@@ -288,7 +253,7 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
         return tuple(
             j
             for j in _bits(mask)
-            if not is_independent(j, k, _set_of(mask & ~(1 << j)))
+            if not is_independent(j, k, tuple(_bits(mask & ~(1 << j))))
         )
 
     return _sparsest(p, parents)

@@ -158,6 +158,23 @@ def partial_corr_by_inverse(sigma, j, k, s=()):
     return float(-inv[a, b] / np.sqrt(inv[a, a] * inv[b, b]))
 
 
+def profile_score(g: Dag, sigma) -> float:
+    """Sum over vertices k of log sigma^2(k | pa(k)), the Gaussian profile score.
+
+    sigma^2(k | pa(k)) is the residual variance of regressing k on its
+    parents in g: sigma_kk - sigma_k,pa sigma_pa,pa^-1 sigma_pa,k.  The
+    sum is at least log det sigma, with equality exactly when sigma
+    satisfies every conditional independence g encodes.
+    """
+    m = np.asarray(sigma, dtype=float)
+    total = 0.0
+    for k in range(g.p):
+        pa = sorted(g.parents(k))
+        explained = m[k, pa] @ np.linalg.solve(m[np.ix_(pa, pa)], m[pa, k]) if pa else 0.0
+        total += np.log(m[k, k] - explained)
+    return float(total)
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
     """K = U @ diag(D) @ U.T with U upper unitriangular and D positive.

@@ -477,7 +477,9 @@ class TestSimulate:
         ("grid.cfg", "p_list=4,x\nnbhd_list=1\n", "p_list"),
         ("grid.json", '{"p_list": 4, "nbhd_list": [1]}', "p_list"),
         ("grid.json", '{"p_list": [4], "nbhd_list": [1], "trials": "2"}', "trials"),
-    ], ids=["empty-value", "bad-item", "scalar-list", "string-count"])
+        ("grid.cfg", "p_list=4\nnbhd_list=1,nan\n", "nbhd_list"),
+        ("grid.json", '{"p_list": [4], "nbhd_list": [1, NaN]}', "nbhd_list"),
+    ], ids=["empty-value", "bad-item", "scalar-list", "string-count", "nan-nbhd", "nan-nbhd-json"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, name, text, key):
         cfg = tmp_path / name
         cfg.write_text(text)

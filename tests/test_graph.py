@@ -90,6 +90,8 @@ class TestConstruction:
             Dag(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(CycleError):
             Dag(2, [(0, 1), (1, 0)])
+        with pytest.raises(CycleError, match="self loop at vertex 1"):
+            Dag(3, [(1, 1)])
 
     def test_equality_and_hash(self):
         a = Dag(3, [(0, 1)])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdag.assumptions import check_markov
 from spdag.baselines import pc_skeleton, sgs_skeleton
 from spdag.exceptions import CapacityError, NumericalError
 from spdag.graph import (
@@ -16,6 +17,7 @@ from spdag.graph import (
     Dag,
     Permutation,
     d_separated,
+    enumerate_all_dags,
     pattern_of,
     skeleton,
     topological_orders,
@@ -49,7 +51,7 @@ from corpus import (
     random_dag_pool,
     random_sem_pool,
 )
-from reference import pattern_by_triples, permuted_precision, upper_cholesky
+from reference import pattern_by_triples, permuted_precision, profile_score, upper_cholesky
 
 
 def mask_of(g):
@@ -163,9 +165,10 @@ class TestSpSearch:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_dp_classes_match_the_checked_constructor(self, p, route, share, seed):
-        # The search keys classes during its forward walk and trusts its
-        # winners: pattern_of runs once per class and no winner is peeled.
-        # The checked constructor, which keys every winner, is the oracle.
+        # The search groups winners by class during its forward walk and
+        # trusts them: pattern_of runs once per class and no winner is
+        # peeled. The checked constructor, which classes every winner's
+        # Dag with pattern_of, is the oracle.
         rng = np.random.default_rng(seed)
         if p > 1:
             sigma = covariance_of(random_sem(GenConfig(p, share * (p - 1)), rng))
@@ -180,7 +183,7 @@ class TestSpSearch:
         }[route]
         peel = mock.Mock(side_effect=AssertionError("the search peeled a winner"))
         with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy, \
-                mock.patch("spdag.graph._unpeeled", peel), mock.patch("spdag.sp._unpeeled", peel):
+                mock.patch("spdag.graph._unpeeled", peel):
             r = search()
         assert spy.call_count == len(r.classes)
         # the checked constructor also rejects cycles and unequal edge counts
@@ -290,8 +293,8 @@ class TestSpSearch:
     @given(p=st.integers(1, 7), data=st.data())
     def test_mask_patterns_match_the_reference(self, p, data):
         # Orient one random skeleton by several random orderings: the graphs
-        # share an edge count, and the result's classes, built from one
-        # mask key per winner, are the reference patterns of the graphs.
+        # share an edge count, and the result's classes are the reference
+        # patterns of the graphs.
         pairs = list(itertools.combinations(range(p), 2))
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
         orders = data.draw(st.lists(st.permutations(range(p)), min_size=1, max_size=6))
@@ -301,15 +304,38 @@ class TestSpSearch:
             dags.add(Dag(p, [(j, k) if pos[j] < pos[k] else (k, j) for j, k in chosen]))
         for g in dags:
             assert pattern_of(g) == pattern_by_triples(g)
-        with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy:
-            r = SpResult(p, frozenset(mask_of(g) for g in dags))
+        r = SpResult(p, frozenset(mask_of(g) for g in dags))
         assert r.classes == {pattern_by_triples(g) for g in dags}
-        assert spy.call_count == len(r.classes)
         assert r.winners == dags
         for w in r.winners:  # built from masks, unchecked: same adjacency as checked
             g = Dag(p, w.edges)
             assert all(w.parents(v) == g.parents(v) and w.children(v) == g.children(v)
                        for v in range(p))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        p=st.integers(2, 4),
+        share=st.sampled_from((0.34, 0.67, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_winners_minimize_the_l0_penalized_score(self, p, share, seed):
+        # The abstract's l0 claim on exact data: the winners are the DAGs
+        # minimizing the profile score plus lam times the edge count. Every
+        # Markov DAG scores log det sigma and every other DAG more, so any
+        # lam too small to trade all edges for the smallest such gap works.
+        sigma = covariance_of(random_sem(GenConfig(p, share * (p - 1)), np.random.default_rng(seed)))
+        ci = gaussian_exact_backend(sigma)
+        log_det = np.linalg.slogdet(sigma)[1]
+        dags = list(enumerate_all_dags(p))
+        gaps = [profile_score(g, sigma) - log_det for g in dags]
+        markov = [check_markov(g, ci).holds for g in dags]
+        assert max(abs(gap) for gap, m in zip(gaps, markov) if m) < 1e-9
+        smallest = min((gap for gap, m in zip(gaps, markov) if not m), default=1.0)
+        assert smallest > 1e-9
+        lam = smallest / (math.comb(p, 2) + 1)
+        scores = [gap + lam * g.num_edges for gap, g in zip(gaps, dags)]
+        low = min(scores)
+        assert sp_search(ci).masks == {mask_of(g) for g, s in zip(dags, scores) if s < low + lam / 2}
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_complete_dag_has_every_ordering_as_a_winner(self, p):
