@@ -308,7 +308,7 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
     affects scheduling only: trials are submitted, and their results
     read, in (cell, trial) order, and each trial lists its methods in
     METHODS order, so the records come out in (cell, trial, method)
-    order either way.
+    order either way.  No more workers start than there are trials.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
@@ -334,24 +334,16 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
         if live:
             work.append((cell, tuple(live)))
 
-    records = []
-    if workers == 1:
-        for cell, live in work:
-            for trial in range(cfg.trials):
-                records.extend(run_trial(cfg, cell, trial, live))
+    tasks = [(cfg, cell, trial, live) for cell, live in work for trial in range(cfg.trials)]
+    # a fork pool starts every worker process on its first submit
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        batches = [run_trial(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_trial, cfg, cell, trial, live)
-                for cell, live in work
-                for trial in range(cfg.trials)
-            ]
-            for f in futures:
-                records.extend(f.result())
-
-    return GridResult(
-        config=cfg, cells=cells, records=tuple(records), skips=tuple(skips)
-    )
+            batches = list(pool.map(run_trial, *zip(*tasks)))
+    records = tuple(r for batch in batches for r in batch)
+    return GridResult(config=cfg, cells=cells, records=records, skips=tuple(skips))
 
 
 METRICS = (

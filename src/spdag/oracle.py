@@ -25,7 +25,7 @@ import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -252,18 +252,22 @@ class _SubsetTable(dict):
         return inv
 
     def column(self, mask: int, k: int):
-        """For T = mask + {k}: the K_jk and K_jj of each j in mask, and K_kk.
+        """For T = mask + {k}: (j, K_jk, K_jj, K_kk) for each j in mask, j ascending.
 
-        The j run in ascending order; None when T is collinear.
+        The one reader of a column: an empty mask yields nothing and
+        factors nothing, and a collinear T yields NaN for every value.
         """
+        if not mask:
+            return ()
         t = mask | 1 << k
         inv = self[t]
         if inv is None:
-            return None
+            return ((j, math.nan, math.nan, math.nan) for j in _bits(mask))
         b = _rank(t, k)
         diag = inv.diagonal().tolist()
         kkk = diag.pop(b)
-        return inv[:b, b].tolist() + inv[b, b + 1 :].tolist(), diag, kkk
+        col = inv[:b, b].tolist() + inv[b, b + 1 :].tolist()
+        return zip(_bits(mask), col, diag, repeat(kkk))
 
 
 def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
@@ -363,26 +367,22 @@ class PartialCorrelationBackend(CiBackend):
             return False
         return self._independent(t)
 
-    def parents(self, mask: int, k: int) -> tuple:
-        """The j in mask that stay dependent on k given mask minus {j}.
+    def parents(self, mask: int, k: int) -> int:
+        """The j in mask that stay dependent on k given mask minus {j}, as a vertex mask.
 
-        Reads one column of the entry for mask + {k} and answers, and
-        records collinear queries, as is_independent would.
+        Reads the column of mask + {k} through the table's one column
+        reader, which sp_search_cholesky shares, and answers, and records
+        collinear queries, as is_independent would.
         """
-        if not mask:
-            return ()
-        members = tuple(_bits(mask))
-        col = self._table.column(mask, k)
-        if col is None:
-            stats = [math.inf] * len(members)
-        else:
-            kjk, kjj, kkk = col
-            size = len(members) - 1
-            stats = [self._rule(-x / math.sqrt(y * kkk), size) for x, y in zip(kjk, kjj)]
-        if math.inf in stats:
-            self._collinear.update((min(j, k), max(j, k), mask ^ 1 << j)
-                                   for j, t in zip(members, stats) if t == math.inf)
-        return tuple(j for j, t in zip(members, stats) if not self._independent(t))
+        size = mask.bit_count() - 1
+        found = 0
+        for j, kjk, kjj, kkk in self._table.column(mask, k):
+            t = self._rule(-kjk / math.sqrt(kjj * kkk), size)
+            if t == math.inf:
+                self._collinear.add((min(j, k), max(j, k), mask ^ 1 << j))
+            if t == math.inf or not self._independent(t):
+                found |= 1 << j
+        return found
 
 
 class CachingBackend(CiBackend):
@@ -465,9 +465,10 @@ def fisher_z_backend(data, cfg: TestConfig) -> PartialCorrelationBackend:
     # scanned to name it (a scan adds a third to a sparse p = 12 PC call)
     if not np.isfinite(moments).all():
         _check_finite(x)
-    # ndtri is the normal quantile norm.ppf returns, without importing
-    # scipy.stats, which took over half of the package's import time
-    return PartialCorrelationBackend(moments, float(ndtri(1 - cfg.alpha / 2)), n)
+    # ndtri is norm.ppf without importing scipy.stats (over half of the
+    # import time); -ndtri(alpha/2), as 1 - alpha/2 rounds to 1 for
+    # alpha <= 1e-16 and ndtri(1) is inf
+    return PartialCorrelationBackend(moments, -float(ndtri(cfg.alpha / 2)), n)
 
 
 def caching_wrapper(inner: CiBackend) -> CachingBackend:
@@ -480,9 +481,9 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
 
     Lines holding only commas and whitespace are skipped. A first line
     with a field that does not parse as a number is a header of column
-    names; without one column i is named prefix + str(i). Every data row
-    must have the header's width, and a NaN or infinite entry is rejected
-    with its 1-based data row and its column name.
+    names, no two alike; without one column i is named prefix + str(i).
+    Every data row must have the header's width, and a NaN or infinite
+    entry is rejected with its 1-based data row and its column name.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [line for line in fh if line.replace(",", "").strip()]
@@ -504,6 +505,9 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
     names = first if named else [f"{prefix}{i}" for i in range(data.shape[1])]
     if len(names) != data.shape[1]:
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"{path}: column name {repeated[0]!r} is repeated in the header")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]

@@ -15,7 +15,8 @@ is the one with the least fill.  Column k of that factor holds the
 coefficients of regressing k on the vertices before it, which depend only
 on their set, so the same DP scores every ordering from one regression per
 (prefix set, vertex) without issuing conditional-independence queries; for
-an exact Gaussian oracle the two routes coincide.
+an exact Gaussian oracle the two routes coincide.  Both give the DP a
+parent set as a vertex mask, read through one per-subset table reader.
 
 A dense model has many sparsest orderings (all p! for a complete DAG),
 so winners travel as int edge masks, bit j*p + k standing for the edge
@@ -160,8 +161,9 @@ def _sparsest(p: int, parents) -> SpResult:
     vertices before it, so parents(mask, k) scores appending k to the
     prefix set mask and the minimum over all p! orderings is a DP over
     the 2^p prefix sets (the exact order DP of Silander and Myllymaki).
-    Every tying step is kept, as (k, k's parents in ascending order),
-    the previous prefix being the set without k; the prefixes lying on
+    parents returns a vertex mask, bit j for parent j, so a step's cost
+    is its popcount.  Every tying step is kept, as (k, that mask), the
+    previous prefix being the set without k; the prefixes lying on
     an optimal ordering are then marked backwards from the full set.
     One forward walk over them, a prefix size at a time, builds the
     winners' edge masks, each extension a single OR, so a winner reached
@@ -185,7 +187,7 @@ def _sparsest(p: int, parents) -> SpResult:
                 continue
             found = parents(mask, k)
             nxt = mask | 1 << k
-            count = best[mask] + len(found)
+            count = best[mask] + found.bit_count()
             if count < best[nxt]:
                 best[nxt], steps[nxt] = count, []
             if count == best[nxt]:
@@ -197,11 +199,10 @@ def _sparsest(p: int, parents) -> SpResult:
             on_path[size - 1].update(mask ^ 1 << k for k, _ in steps[mask])
 
     @cache  # many steps append the same k with the same parents
-    def step_bits(k: int, found: tuple) -> tuple:
-        added = sum(1 << (j * p + k) for j in found)
-        both = added | sum(1 << (k * p + j) for j in found)
-        pairs = [(a * p + b, 1 << (a * p + b) * p + k) for a, b in combinations(found, 2)]
-        return added, both, pairs
+    def step_bits(k: int, found: int) -> tuple:
+        added = sum(1 << (j * p + k) for j in _bits(found))
+        pairs = [(a * p + b, 1 << (a * p + b) * p + k) for a, b in combinations(_bits(found), 2)]
+        return added, added | found << k * p, pairs
 
     level = {0: {(0, 0): {0}}}  # prefix -> class key -> the class's winners
     for masks in on_path[1:]:
@@ -238,7 +239,7 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
     prefix set S costs the j in S that stay dependent on k given
     S minus {j}.  It returns every DAG that some optimal ordering
     induces.  A partial-correlation backend, bare or cached, answers
-    each step with one row of its per-subset table; any other backend
+    each step with one column of its per-subset table; any other backend
     gets the queries one at a time, and through a cache each distinct
     query reaches it once.
     """
@@ -249,11 +250,9 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
         return _sparsest(p, inner.parents)
     is_independent = ci.is_independent
 
-    def parents(mask: int, k: int) -> tuple:
-        return tuple(
-            j
-            for j in _bits(mask)
-            if not is_independent(j, k, tuple(_bits(mask & ~(1 << j))))
+    def parents(mask: int, k: int) -> int:
+        return sum(
+            1 << j for j in _bits(mask) if not is_independent(j, k, tuple(_bits(mask ^ 1 << j)))
         )
 
     return _sparsest(p, parents)
@@ -276,7 +275,8 @@ def sp_search_cholesky(
     from the inverse K of the correlation block over S + {k}, from the
     same kind of per-subset table the partial-correlation backend
     keeps; working on the correlation matrix makes the tolerance
-    scale-free.  A collinear block makes every coefficient count.
+    scale-free.  A collinear block reads as NaN, which fails the
+    comparison, so every coefficient counts.
     sigma is read as a CovarianceMatrix, as the query route's backends
     read it, so both routes reject the same matrices with one ValueError.
     """
@@ -287,14 +287,8 @@ def sp_search_cholesky(
     _check_cap(p, max_p)
     table = _SubsetTable(_standardize(sigma))
 
-    def parents(mask: int, k: int) -> tuple:
-        if not mask:
-            return ()
-        members = tuple(_bits(mask))
+    def parents(mask: int, k: int) -> int:
         col = table.column(mask, k)
-        if col is None:
-            return members
-        kjk, _, kkk = col
-        return tuple(j for j, x in zip(members, kjk) if abs(x) / kkk > chol_tol)
+        return sum(1 << j for j, kjk, _, kkk in col if not abs(kjk) / kkk <= chol_tol)
 
     return _sparsest(p, parents)

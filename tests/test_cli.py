@@ -515,6 +515,17 @@ class TestErrorSurface:
         assert err.count("\n") == 1
         assert "gap.csv" in err and "data row 4" in err and "column b" in err
 
+    def test_repeated_column_name_is_one_line(self, tmp_path, capsys):
+        rows = ["a,a,b"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]
+        data = tmp_path / "dup.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["learn", "--backend", "fisher", "--input", str(data),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "dup.csv" in err and "column name 'a' is repeated" in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["learn", "--backend", "gaussian"],
         ["learn", "--backend", "lambda", "--lambda", "0.1"],

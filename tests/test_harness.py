@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from spdag import harness
 from spdag.harness import (
     Cell,
     DEFAULT_ALPHAS,
@@ -217,6 +218,36 @@ class TestOutputs:
         write_outputs(run_grid(cfg, workers=3), d2)
         for name in ("trials.csv", "aggregate.csv", "summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_pool_never_outnumbers_the_trials(self, monkeypatch):
+        # A fork pool starts all max_workers processes on its first submit,
+        # so the pool is capped at the (cell, trial) task count; a stand-in
+        # executor records the size asked for and runs the tasks inline.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def runs(cfg, workers):
+            return [(r.trial, r.seed, r.method) for r in run_grid(cfg, workers).records]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = small_config(trials=2)
+        serial = runs(cfg, 1)
+        assert runs(cfg, 5000) == runs(cfg, 2) == serial
+        assert sizes == [2, 2]
+        assert runs(small_config(trials=1), 5000) == serial[:len(serial) // 2]
+        assert sizes == [2, 2]  # one task runs without a pool
 
     def test_trials_csv_has_no_clock(self, tmp_path):
         res = run_grid(small_config(trials=1))

@@ -355,6 +355,18 @@ class TestFisherZ:
         assert be.collinear_warnings == 1
         assert be.statistic(0, 1) == math.inf
 
+    def test_level_stays_finite_at_tiny_alpha(self):
+        # 1 - alpha/2 rounds to 1 for alpha <= 1e-16; the level must not
+        # become inf, which would call every pair independent
+        rng = np.random.default_rng(7)
+        x = np.cumsum(rng.standard_normal((300, 3)) * [1.0, 0.3, 0.3], axis=1)
+        be = fisher_z_backend(x, TestConfig(alpha=1e-17))
+        assert math.isfinite(be.statistic(0, 1))
+        assert not be.is_independent(0, 1) and not be.is_independent(1, 2)
+        got = sp_search(be)
+        assert got.min_edges == 2
+        assert got.winners == sp_search(fisher_z_backend(x, TestConfig(0.01))).winners
+
     def test_size_at_independent_pair(self):
         # 2000 replications at n=10000, alpha=0.01: the rejection rate
         # must land within 0.01 +/- 0.006.
@@ -656,6 +668,13 @@ class TestCsvLoaders:
         path = tmp_path / "m.csv"
         path.write_text("1.0,0.5\n0.5,nan\n")
         with pytest.raises(ValueError, match=rf"data row 2, column {column} holds nan,"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    def test_repeated_header_name_is_rejected(self, tmp_path, load):
+        path = tmp_path / "dup.csv"
+        path.write_text("a, b ,a\n1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match=r"dup\.csv: column name 'a' is repeated"):
             load(path)
 
     def test_empty_file_rejected(self, tmp_path):

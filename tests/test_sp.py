@@ -352,9 +352,9 @@ class TestSubsetTable:
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7))
     def test_rows_match_the_query_path(self, seed, p):
-        # Random SPD matrices and samples in random units: reading rows of
-        # the per-subset table, bare or behind a cache, finds what the
-        # query path finds, and so does the Cholesky route.
+        # Random SPD matrices and samples in random units: reading columns
+        # of the per-subset table, bare or behind a cache, finds the parent
+        # masks the query path finds, and so does the Cholesky route.
         rng = np.random.default_rng(seed)
         units = 10.0 ** rng.uniform(-3, 3, p)
         mix = np.where(rng.random((p, p)) < 0.4, rng.standard_normal((p, p)), 0.0)
@@ -374,8 +374,8 @@ class TestSubsetTable:
             for mask in range(1, 2**p):
                 members = [v for v in range(p) if mask >> v & 1]
                 for k in set(range(p)) - set(members):
-                    want = tuple(
-                        j for j in members
+                    want = sum(
+                        1 << j for j in members
                         if not ref.is_independent(j, k, [v for v in members if v != j])
                     )
                     assert be.parents(mask, k) == want
@@ -387,6 +387,38 @@ class TestSubsetTable:
         got = sp_search_cholesky(sigma)
         assert got.min_edges == want.min_edges
         assert got.winners == want.winners
+
+    def test_empty_prefix_and_collinear_subsets_read_alike_on_both_routes(self, monkeypatch):
+        # Column 4 copies column 0 up to noise of 1e-6, so every subset
+        # holding both is collinear and the moments stay positive definite,
+        # as the Cholesky route needs.  Both routes read parent masks through
+        # the table's one column reader: an empty prefix gives no parents
+        # and a collinear subset makes the whole prefix parents.  The
+        # threshold route counts each collinear query once, as the query
+        # path does.
+        import spdag.sp as sp
+
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((200, 4))
+        x = np.column_stack([x, x[:, 0] + 1e-6 * rng.standard_normal(200)])
+        routes = []
+        monkeypatch.setattr(sp, "_sparsest", lambda p, parents: routes.append(parents))
+        be, ref = fisher_z_backend(x, TestConfig(0.01)), fisher_z_backend(x, TestConfig(0.01))
+        sp_search(be)
+        sp_search_cholesky(x.T @ x / len(x))
+        copies = 1 | 1 << 4
+        for mask in range(2**5):
+            members = [v for v in range(5) if mask >> v & 1]
+            for k in set(range(5)) - set(members):
+                got = [parents(mask, k) for parents in routes]
+                if not mask:
+                    assert got == [0, 0]
+                elif (mask | 1 << k) & copies == copies:
+                    assert got == [mask, mask]
+                for j in members:
+                    ref.is_independent(j, k, [v for v in members if v != j])
+        # every pair of each of the 8 subsets holding both copies
+        assert be.collinear_warnings == ref.collinear_warnings == 1 + 3 * 3 + 3 * 6 + 10
 
     def test_each_subset_is_factored_once(self):
         # SP inverts every subset of two or more vertices exactly once;
