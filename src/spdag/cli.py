@@ -16,13 +16,14 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
 from . import assumptions
 from .baselines import pc_pattern, sgs_pattern
 from .exceptions import CapacityError, DagTextError, NumericalError
-from .graph import Dag, EquivClassPattern, _bits, _mask_rows, load_dag_file
+from .graph import Dag, EquivClassPattern, _bits, load_dag_file
 from .oracle import (
     TestConfig,
     caching_wrapper,
@@ -113,38 +114,69 @@ def _subject_json(obj, label):
     return str(obj)
 
 
-def _write_json(doc, out):
+def _write_json(doc, out, winners=None):
+    """Write json.dumps(doc) and a newline to out ('-' for stdout).
+
+    winners, if given, yields the text of doc's "winners" list, which
+    doc leaves empty, in pieces; they go to out as they come, so a dense
+    result's text is never held whole.
+    """
     text = json.dumps(doc) + "\n"
+    pieces = [text]
+    if winners is not None:
+        # min_edges, the one field before winners, is a number, so the
+        # first "[]" is the empty winners list
+        head, tail = text.split("[]", 1)
+        pieces = chain([head, "["], winners, ["]", tail])
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+class _RowTexts(dict):
+    """JSON texts of vertex j's out-edges, keyed by j's children mask.
+
+    Each edge's text ends in ", ", so a winner's rows join into its edge
+    list with two characters to drop.  A text is built on first use.
+    """
+
+    def __init__(self, j, label):
+        self.j, self.label = j, label
+
+    def __missing__(self, r):
+        j, label = self.j, self.label
+        text = self[r] = "".join(json.dumps([label(j), label(k)]) + ", " for k in _bits(r))
+        return text
 
 
 def _search_json(result, label, wall_ms, collinear):
-    # Row j of a winner's edge mask holds the children of j, so its rows'
-    # edges in turn are its sorted edge list.  Winners share rows, and
-    # each distinct row's edges are built once.
-    built = [{} for _ in range(result.p)]
+    """The learn document, its winners left empty, and their text in pieces.
 
-    def edge_list(mask):
-        out = []
-        for j, r in enumerate(_mask_rows(result.p, mask)):
-            if r not in built[j]:
-                built[j][r] = [[label(j), label(k)] for k in _bits(r)]
-            out += built[j][r]
-        return out
+    Row j of a winner's edge mask holds the children of j, so its rows'
+    edges in turn are its sorted edge list.  Winners share rows, and
+    each distinct row's text is built once.
+    """
+    p, row = result.p, (1 << result.p) - 1
+    rows = [(_RowTexts(j, label), j * p) for j in range(p)]
 
-    return {
+    def winner_texts():
+        sep = ""
+        for m in result.ordered_masks():
+            yield sep + "[" + "".join([t[m >> s & row] for t, s in rows])[:-2] + "]"
+            sep = ", "
+
+    doc = {
         "min_edges": result.min_edges,
-        "winners": [edge_list(m) for m in result.ordered_masks()],
+        "winners": [],
         "classes": [_pattern_json(c, label) for c in result.ordered_classes()],
         "unique_class": result.unique_class,
         "permutations_scanned": result.permutations_scanned,
         "collinear_queries": collinear,
         "wall_time_ms": round(wall_ms, 3),
     }
+    return doc, winner_texts()
 
 
 def cmd_learn(args) -> int:
@@ -158,7 +190,8 @@ def cmd_learn(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     # only the partial-correlation backends count collinear queries
     collinear = getattr(built, "collinear_warnings", 0)
-    _write_json(_search_json(result, label, wall_ms, collinear), args.out)
+    doc, winners = _search_json(result, label, wall_ms, collinear)
+    _write_json(doc, args.out, winners)
     kind = "class" if result.unique_class else "classes"
     print(
         f"minimum {result.min_edges} edges, {len(result.masks)} optimal "

@@ -431,9 +431,13 @@ def explicit_backend(p: int, independent_triples) -> ExplicitBackend:
 
 
 def gaussian_exact_backend(sigma, *, zero_tol: float = 1e-9) -> PartialCorrelationBackend:
-    """Exact-zero thresholding of population partial correlations."""
-    if not zero_tol > 0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
+    """Exact-zero thresholding of population partial correlations.
+
+    A partial correlation lies in [-1, 1], so a tolerance of 1 or more
+    would call every pair independent.
+    """
+    if not 0 < zero_tol < 1:
+        raise ValueError(f"zero_tol must lie in (0,1), got {zero_tol}")
     return PartialCorrelationBackend(CovarianceMatrix(sigma), zero_tol)
 
 

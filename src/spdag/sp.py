@@ -46,6 +46,8 @@ from .oracle import (
 
 PERMUTATION_CAP = 9
 CHOL_TOL = 1e-7
+# byte b with its bit order reversed, at index b
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 __all__ = [
     "CHOL_TOL",
@@ -122,10 +124,12 @@ class SpResult:
         Such a list is the mask's bits in ascending order.  As every mask
         has the same edge count, the list that first holds an edge the
         other lacks sorts first: the one whose bit string, read from bit
-        0 up, is the larger.
+        0 up, is the larger.  The mask's little-endian bytes, each with
+        its bits reversed, compare as that bit string does.
         """
-        width = f"0{self.p * self.p}b"
-        return sorted(self.masks, key=lambda m: format(m, width)[::-1], reverse=True)
+        size = (self.p * self.p + 7) // 8
+        key = lambda m: m.to_bytes(size, "little").translate(_BIT_REVERSED)
+        return sorted(self.masks, key=key, reverse=True)
 
     def ordered_winners(self) -> list:
         return [Dag._from_mask(self.p, m) for m in self.ordered_masks()]

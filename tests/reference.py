@@ -6,8 +6,9 @@ definition verbatim, graph enumeration filters raw adjacency matrices,
 ordering enumeration filters raw permutations, equivalence class
 patterns are read off edge tuples pair by pair, and the Cholesky route is
 checked against a factorization of the whole permuted precision matrix,
-one ordering at a time. Production code must agree with these on
-everything small enough to brute force.
+one ordering at a time. The `sp learn` document is built whole, as
+nested lists. Production code must agree with these on everything small
+enough to brute force.
 """
 
 from dataclasses import dataclass
@@ -239,3 +240,28 @@ def upper_cholesky(k, *, chol_tol: float = CHOL_TOL) -> CholeskyFactor:
     d.flags.writeable = False
     mask.flags.writeable = False
     return CholeskyFactor(U=u, D=d, nonzero_mask=mask)
+
+
+def learn_doc(result, label, wall_ms, collinear) -> dict:
+    """The `sp learn` JSON document as nested lists, for json.dumps.
+
+    The CLI streams the winners as text instead, and what it writes must
+    equal json.dumps of this byte for byte.  Each winner is its sorted
+    edge list, and the winners are in the order of those lists, sorted
+    here outright.
+    """
+    def pairs(items):
+        return [[label(v) for v in item] for item in sorted(items)]
+
+    return {
+        "min_edges": result.min_edges,
+        "winners": [pairs(edges) for edges in sorted(sorted(w.edges) for w in result.winners)],
+        "classes": [
+            {"skeleton": pairs(c.skeleton), "v_structures": pairs(c.v_structures)}
+            for c in result.ordered_classes()
+        ],
+        "unique_class": result.unique_class,
+        "permutations_scanned": result.permutations_scanned,
+        "collinear_queries": collinear,
+        "wall_time_ms": round(wall_ms, 3),
+    }

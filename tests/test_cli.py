@@ -1,18 +1,26 @@
 """End-to-end tests of the command line surface."""
 
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import edge_cancellation_sem
-from spdag.cli import main
-from spdag.graph import Dag, format_dag_text
+from reference import learn_doc
+from spdag.cli import _search_json, _write_json, main
+from spdag.graph import Dag, _bits, format_dag_text
 from spdag.sem import GenConfig, LinearSem, covariance_of, random_sem, sample
+from spdag.sp import SpResult
 
 COLLIDER = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
@@ -204,6 +212,74 @@ def test_learn_matches_golden_hash(learn_inputs, tmp_path, case):
     doc = json.loads(out.read_text())
     del doc["wall_time_ms"]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == GOLDEN_LEARNS[case]
+
+
+@st.composite
+def checked_results(draw):
+    """A checked SpResult(p, masks), p <= 5: a few DAGs with one edge count."""
+    p = draw(st.integers(1, 5))
+    count = draw(st.integers(0, p * (p - 1) // 2))
+    masks = set()
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(p)))
+        edges = draw(st.sets(st.sampled_from(list(combinations(order, 2))),
+                             min_size=count, max_size=count)) if count else ()
+        masks.add(sum(1 << j * p + k for j, k in edges))
+    return SpResult(p, masks)
+
+
+@st.composite
+def labelings(draw):
+    """0- or 1-based integers, or names holding JSON's escaped characters."""
+    if draw(st.booleans()):
+        base = draw(st.integers(0, 1))
+        return lambda v: v + base
+    names = draw(st.lists(st.text('a" \\,\u00e9', max_size=3), min_size=5, max_size=5))
+    return lambda v: f'{names[v]}"\\,\u00e9{v}'
+
+
+class TestWriter:
+    @given(result=checked_results(), label=labelings())
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    def test_streamed_text_matches_the_nested_list_document(
+        self, tmp_path_factory, result, label
+    ):
+        expected = json.dumps(learn_doc(result, label, 12.3456, 7)) + "\n"
+        out = tmp_path_factory.mktemp("writer") / "r.json"
+        doc, winners = _search_json(result, label, 12.3456, 7)
+        _write_json(doc, str(out), winners)
+        assert out.read_bytes() == expected.encode()
+        # the winners' texts are made as they are written, so once only
+        doc, winners = _search_json(result, label, 12.3456, 7)
+        with redirect_stdout(io.StringIO()) as stdout:
+            _write_json(doc, "-", winners)
+        assert stdout.getvalue() == expected
+
+    def test_dense_winners_stream_in_little_memory(self, tmp_path):
+        # a complete DAG on 8 vertices: each of the 8! orderings is a winner
+        p = 8
+        masks = {
+            sum(1 << j * p + k for j, k in combinations(order, 2))
+            for order in permutations(range(p))
+        }
+        result = SpResult._from_search(p, [masks])
+        label = lambda v: f"x{v}"
+        out = tmp_path / "r.json"
+        doc, winners = _search_json(result, label, 0.0, 0)
+        tracemalloc.start()
+        try:
+            _write_json(doc, str(out), winners)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        # the sort and the distinct rows' texts stay; the text as a whole
+        # (or its nested lists, larger still) would not fit under this
+        assert peak < size / 4, (peak, size)
+        written = json.loads(out.read_text())["winners"]
+        assert len(written) == math.factorial(p)
+        for edges, m in zip(written, result.ordered_masks()):
+            assert edges == [[label(b // p), label(b % p)] for b in _bits(m)]
 
 
 class TestBaseline:
@@ -552,6 +628,41 @@ class TestErrorSurface:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert "tolerance must be positive, got nan" in err
+
+    @pytest.mark.parametrize("tol", ["0", "1", "5", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["learn"],
+        ["baseline", "--method", "pc"],
+        ["check", "--assumption", "markov"],
+    ], ids=["learn", "baseline", "check"])
+    def test_gaussian_tolerance_outside_the_unit_interval_is_rejected(
+        self, tmp_path, capsys, command, tol
+    ):
+        # a dependent 3-chain; |partial correlation| <= 1, so any tolerance
+        # of 1 or more would call every pair independent
+        cov = tmp_path / "chain.csv"
+        cov.write_text("1,0.5,0.25\n0.5,1,0.5\n0.25,0.5,1\n")
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_dag_text(Dag(3, [(0, 1), (1, 2)])))
+        if command[0] == "check":
+            command = command + ["--graph", str(graph)]
+        args = ["--backend", "gaussian", "--tol", tol, "--input", str(cov), "--out", "-"]
+        assert main(command + args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert f"zero_tol must lie in (0,1), got {float(tol)}" in err
+
+    def test_tolerances_the_routes_accept(self, tmp_path):
+        # inside (0, 1) the gaussian route keeps the chain's two edges; the
+        # cholesky route bounds regression coefficients, which may exceed
+        # 1, so it keeps accepting any positive tolerance
+        cov = tmp_path / "chain.csv"
+        cov.write_text("1,0.5,0.25\n0.5,1,0.5\n0.25,0.5,1\n")
+        run_ok(["learn", "--backend", "gaussian", "--tol", "0.1", "--input", cov,
+                "--out", tmp_path / "r.json"])
+        assert json.loads((tmp_path / "r.json").read_text())["min_edges"] == 2
+        run_ok(["learn", "--backend", "cholesky", "--tol", "5", "--input", cov,
+                "--out", tmp_path / "c.json"])
 
     def test_lambda_backend_needs_threshold(self, sem_files, capsys):
         _, cov, _ = sem_files

@@ -114,6 +114,13 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             gaussian_exact_backend(np.eye(2), zero_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 5.0, math.inf, math.nan])
+    def test_zero_tol_outside_the_unit_interval_is_rejected(self, tol):
+        # |partial correlation| <= 1, so a tolerance of 1 or more would
+        # call every pair independent and learn the empty graph
+        with pytest.raises(ValueError, match=rf"zero_tol must lie in \(0,1\), got {tol}"):
+            gaussian_exact_backend(np.eye(2), zero_tol=tol)
+
 
 class TestPartialCorrelation:
     def test_identity_uncorrelated(self):
