@@ -135,6 +135,12 @@ def _write_json(doc, out, winners=None):
             fh.writelines(pieces)
 
 
+def _print_summary(out, line):
+    """Print the one-line summary to stdout, or to stderr when the JSON
+    went there, so stdout holds one JSON document."""
+    print(line, file=sys.stderr if out == "-" else sys.stdout)
+
+
 class _RowTexts(dict):
     """JSON texts of vertex j's out-edges, keyed by j's children mask.
 
@@ -193,10 +199,11 @@ def cmd_learn(args) -> int:
     doc, winners = _search_json(result, label, wall_ms, collinear)
     _write_json(doc, args.out, winners)
     kind = "class" if result.unique_class else "classes"
-    print(
+    _print_summary(
+        args.out,
         f"minimum {result.min_edges} edges, {len(result.masks)} optimal "
         f"DAGs in {len(result.classes)} equivalence {kind} "
-        f"({result.permutations_scanned} orderings scanned)"
+        f"({result.permutations_scanned} orderings scanned)",
     )
     return 0
 
@@ -218,9 +225,10 @@ def cmd_baseline(args) -> int:
         "wall_time_ms": round(wall_ms, 3),
     }
     _write_json(doc, args.out)
-    print(
+    _print_summary(
+        args.out,
         f"{args.method} skeleton has {len(pattern.skeleton)} edges, "
-        f"{len(pattern.v_structures)} v-structures"
+        f"{len(pattern.v_structures)} v-structures",
     )
     return 0
 
@@ -246,7 +254,7 @@ def cmd_check(args) -> int:
     }
     _write_json(out, args.out)
     verdict = "holds" if report.holds else f"fails ({report.total_violations} violations)"
-    print(f"{args.assumption}: {verdict}")
+    _print_summary(args.out, f"{args.assumption}: {verdict}")
     return 0
 
 

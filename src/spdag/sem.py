@@ -7,9 +7,8 @@ variances in D gives
 
     Sigma = (I - A)^-T D (I - A)^-1        K = (I - A) D^-1 (I - A)^T
 
-whenever the labels are ordered so that A is strictly upper triangular;
-for other labelings the same identities hold after permuting into a
-topological order, and the functions here do that internally.
+in any labelling: A is nilpotent for every DAG, so I - A is always
+invertible and the functions here work on it in label order.
 
 The random generators reproduce a simple benchmark family: each pair
 j < k receives an edge independently with probability
@@ -28,9 +27,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .graph import Dag, consistent_order
+from .graph import Dag
 from .oracle import CovarianceMatrix
 
 __all__ = [
@@ -156,62 +154,37 @@ def random_sem(cfg: GenConfig, rng: np.random.Generator) -> LinearSem:
     return random_weights(random_dag(cfg, rng), rng)
 
 
-def _topological_pieces(sem: LinearSem):
-    """Permuted U = I - A (upper unitriangular) plus the matching noise."""
-    order = consistent_order(sem.dag).order
-    p = sem.p
-    pos = {v: i for i, v in enumerate(order)}
-    u = np.eye(p)
-    for (j, k), w in sem.weights.items():
-        u[pos[j], pos[k]] = -w
-    noise = np.array([sem.noise_vars[v] for v in order])
-    return order, u, noise
-
-
 def covariance_of(sem: LinearSem) -> CovarianceMatrix:
-    """Population covariance (I - A)^-T D (I - A)^-1 in label order."""
-    order, u, noise = _topological_pieces(sem)
-    p = sem.p
-    b = solve_triangular(u, np.eye(p), lower=False)
-    sig = b.T @ (noise[:, None] * b)
-    sig = (sig + sig.T) / 2.0
-    full = np.empty((p, p))
-    idx = np.array(order)
-    full[np.ix_(idx, idx)] = sig
-    return CovarianceMatrix(full)
+    """Population covariance (I - A)^-T D (I - A)^-1 in label order.
+
+    >>> sem = LinearSem(Dag(2, [(0, 1)]), {(0, 1): 0.5}, (2.0, 3.0))
+    >>> covariance_of(sem).values.tolist()
+    [[2.0, 1.0], [1.0, 3.5]]
+    """
+    b = np.linalg.inv(np.eye(sem.p) - sem.weight_matrix())
+    sig = b.T @ (np.asarray(sem.noise_vars)[:, None] * b)
+    return CovarianceMatrix((sig + sig.T) / 2.0)
 
 
 def precision_of(sem: LinearSem) -> CovarianceMatrix:
     """Population precision (I - A) D^-1 (I - A)^T in label order."""
-    order, u, noise = _topological_pieces(sem)
-    p = sem.p
-    k = (u / noise[None, :]) @ u.T
-    k = (k + k.T) / 2.0
-    full = np.empty((p, p))
-    idx = np.array(order)
-    full[np.ix_(idx, idx)] = k
-    return CovarianceMatrix(full)
+    u = np.eye(sem.p) - sem.weight_matrix()
+    k = (u / np.asarray(sem.noise_vars)[None, :]) @ u.T
+    return CovarianceMatrix((k + k.T) / 2.0)
 
 
 def sample(sem: LinearSem, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` rows by ancestral simulation of the structural equations.
+    """Draw ``n`` rows of the structural equations X = X A + eps.
 
-    Noise for all vertices is drawn first (label order), then the
-    recursion X_k = sum_j a_jk X_j + eps_k is applied as one triangular
-    solve in topological order. Same seed, same bytes.
+    Noise for all vertices is drawn first, in label order; each row then
+    solves x (I - A) = eps as one product with (I - A)^-1. Same seed,
+    same bytes.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    p = sem.p
-    eps = rng.standard_normal((n, p)) * np.sqrt(np.asarray(sem.noise_vars))
-    order, u, _ = _topological_pieces(sem)
-    idx = np.array(order)
-    # Rows solve x U = eps, i.e. U^T x^T = eps^T, vertex by vertex upward.
-    y = solve_triangular(u, eps[:, idx].T, trans="T", lower=False)
-    x = np.empty((n, p))
-    x[:, idx] = y.T
-    return x
+    eps = rng.standard_normal((n, sem.p)) * np.sqrt(np.asarray(sem.noise_vars))
+    return eps @ np.linalg.inv(np.eye(sem.p) - sem.weight_matrix())
 
 
 def sem_to_json(sem: LinearSem) -> dict:

@@ -284,8 +284,8 @@ def sp_search_cholesky(
     sigma is read as a CovarianceMatrix, as the query route's backends
     read it, so both routes reject the same matrices with one ValueError.
     """
-    if not chol_tol > 0:  # NaN fails too
-        raise ValueError(f"tolerance must be positive, got {chol_tol}")
+    if not 0 < chol_tol < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be positive and finite, got {chol_tol}")
     sigma = CovarianceMatrix(sigma)
     p = sigma.p
     _check_cap(p, max_p)

@@ -143,10 +143,29 @@ class TestLearn:
             assert json.loads(out.read_text())["collinear_queries"] == 0
 
     def test_stdout_output(self, collider_file, capsys):
+        # stdout holds the one JSON document; the summary goes to stderr
         run_ok(["learn", "--backend", "dsep", "--input", collider_file, "--out", "-"])
-        captured = capsys.readouterr().out
-        doc = json.loads(captured[: captured.rindex("}") + 1])
-        assert doc["min_edges"] == 4
+        out, err = capsys.readouterr()
+        assert json.loads(out)["min_edges"] == 4
+        assert err.startswith("minimum 4 edges") and err.count("\n") == 1
+
+    def test_headerless_samples_with_byte_order_mark(self, sem_files, tmp_path):
+        # a spreadsheet's byte-order mark must not turn the first row into names
+        sem, _, _ = sem_files
+        x = sample(sem, 2000, np.random.default_rng(3))
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in x) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        docs = []
+        for data in (plain, marked):
+            out = tmp_path / f"{data.stem}.json"
+            run_ok(["learn", "--backend", "fisher", "--input", data, "--out", out])
+            doc = json.loads(out.read_text())
+            doc.pop("wall_time_ms")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert {v for edge in docs[1]["winners"][0] for v in edge} <= {f"x{i}" for i in range(5)}
 
     def test_threads_do_not_change_result(self, collider_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -298,6 +317,13 @@ class TestBaseline:
         assert doc["unique_class"] is True
         assert len(doc["classes"]) == 1
 
+    def test_stdout_output(self, collider_file, capsys):
+        run_ok(["baseline", "--method", "pc", "--backend", "dsep",
+                "--input", collider_file, "--out", "-"])
+        out, err = capsys.readouterr()
+        assert json.loads(out)["min_edges"] == 4
+        assert err == "pc skeleton has 4 edges, 1 v-structures\n"
+
     def test_both_methods_find_the_collider(self, collider_file, tmp_path):
         for method in ("sgs", "pc"):
             out = tmp_path / f"{method}.json"
@@ -319,6 +345,14 @@ class TestCheck:
             "assumption": "markov", "holds": True, "total_violations": 0,
             "witnesses": [], "wall_time_ms": doc["wall_time_ms"],
         }
+
+    def test_stdout_output(self, sem_files, capsys):
+        _, cov, truth = sem_files
+        run_ok(["check", "--assumption", "markov", "--backend", "gaussian",
+                "--input", cov, "--graph", truth, "--out", "-"])
+        out, err = capsys.readouterr()
+        assert json.loads(out)["holds"] is True
+        assert err == "markov: holds\n"
 
     def test_violation_reports_witnesses(self, tmp_path):
         sem = edge_cancellation_sem()
@@ -627,7 +661,17 @@ class TestErrorSurface:
                      "--input", str(cov), "--out", "-"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert "tolerance must be positive, got nan" in err
+        assert "tolerance must be positive and finite, got nan" in err
+
+    def test_infinite_cholesky_tolerance_is_rejected(self, tmp_path, capsys):
+        # on a dependent 3-chain an infinite bound would drop every edge
+        cov = tmp_path / "chain.csv"
+        cov.write_text("1,0.5,0.25\n0.5,1,0.5\n0.25,0.5,1\n")
+        assert main(["learn", "--backend", "cholesky", "--tol", "inf",
+                     "--input", str(cov), "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "tolerance must be positive and finite, got inf" in err
 
     @pytest.mark.parametrize("tol", ["0", "1", "5", "inf"])
     @pytest.mark.parametrize("command", [

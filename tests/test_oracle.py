@@ -684,6 +684,19 @@ class TestCsvLoaders:
         with pytest.raises(ValueError, match=r"dup\.csv: column name 'a' is repeated"):
             load(path)
 
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    @pytest.mark.parametrize("header", ["a,b\n", ""], ids=["header", "headerless"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, load, header):
+        # spreadsheet programs start a UTF-8 CSV with a byte-order mark
+        text = header + "1.0,0.3\n0.3,1.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        (m, names), (m_plain, names_plain) = load(marked), load(plain)
+        assert names == names_plain
+        assert np.asarray(m).tobytes() == np.asarray(m_plain).tobytes()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "nothing.csv"
         path.write_text("")

@@ -1,9 +1,12 @@
 """Tests for the linear Gaussian model generator and sampler."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdag.graph import Dag, d_separated
 from spdag.oracle import partial_correlation
@@ -130,19 +133,31 @@ class TestCovariance:
                 )
                 assert (abs(kap[j, k]) > 1e-12) == bool(coupled)
 
-    def test_vertex_order_does_not_matter(self):
-        # Same model with labels permuted: covariance permutes with it.
-        base = LinearSem(CHAIN3, {(0, 1): 0.8, (1, 2): -0.6}, noise_vars=(1.0, 2.0, 0.5))
-        perm = [2, 0, 1]  # new label of old vertex i is perm[i]
-        g = Dag(3, [(2, 0), (0, 1)])
-        relabeled = LinearSem(
-            g, {(2, 0): 0.8, (0, 1): -0.6}, noise_vars=(2.0, 0.5, 1.0)
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 12), data=st.data())
+    def test_vertex_order_does_not_matter(self, seed, p, data):
+        # Same model with labels permuted: covariance and precision permute
+        # with it, and precision keeps its zero pattern exactly.
+        nbhd = data.draw(st.floats(0.5, p - 1), label="nbhd")
+        rng = np.random.default_rng(seed)
+        base = random_weights(
+            random_dag(GenConfig(p, nbhd), rng), rng,
+            noise_vars=rng.uniform(0.5, 2.0, p),
         )
-        sig = covariance_of(base).values
-        sig_r = covariance_of(relabeled).values
-        for a in range(3):
-            for b in range(3):
-                assert sig_r[perm[a], perm[b]] == pytest.approx(sig[a, b], abs=1e-12)
+        perm = rng.permutation(p)  # new label of old vertex i is perm[i]
+        noise = np.empty(p)
+        noise[perm] = base.noise_vars
+        relabeled = LinearSem(
+            Dag(p, [(perm[j], perm[k]) for j, k in base.dag.edges]),
+            {(perm[j], perm[k]): w for (j, k), w in base.weights.items()},
+            tuple(noise),
+        )
+        back = np.ix_(perm, perm)
+        for build in (covariance_of, precision_of):
+            m, m_r = build(base).values, build(relabeled).values[back]
+            assert np.max(np.abs(m_r - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+        kap, kap_r = precision_of(base).values, precision_of(relabeled).values[back]
+        assert np.array_equal(kap == 0, kap_r == 0)
 
 
 class TestSampling:
@@ -170,6 +185,20 @@ class TestSampling:
         assert expect[2, 2] == pytest.approx(1.0)
         assert expect[0, 0] == pytest.approx(3.0)
         assert np.max(np.abs(emp - expect)) < 0.02
+
+    def test_rows_solve_the_structural_equations(self):
+        # x (I - A) = eps row by row, for the very noise the draw used,
+        # with every edge pointing against label order.
+        g = Dag(4, [(3, 2), (2, 1), (3, 0), (1, 0)])
+        sem = LinearSem(
+            g, {(3, 2): 0.9, (2, 1): -0.7, (3, 0): 0.4, (1, 0): 1.0},
+            noise_vars=(0.5, 1.0, 2.0, 1.5),
+        )
+        rng = np.random.default_rng(21)
+        twin = copy.deepcopy(rng)
+        x = sample(sem, 500, rng)
+        eps = twin.standard_normal((500, 4)) * np.sqrt(sem.noise_vars)
+        assert np.max(np.abs(x @ (np.eye(4) - sem.weight_matrix()) - eps)) < 1e-12
 
     def test_rejects_bad_count(self):
         sem = LinearSem(Dag(2, [(0, 1)]), {(0, 1): 0.5})

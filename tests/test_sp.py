@@ -595,9 +595,11 @@ class TestSpSearchCholesky:
     def test_tolerance_validation(self):
         chain = LinearSem(Dag(3, [(0, 1), (1, 2)]), {(0, 1): 0.8, (1, 2): 0.8})
         assert sp_search_cholesky(covariance_of(chain)).min_edges == 2
-        for tol in (0.0, -1.0, math.nan):
+        for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 sp_search_cholesky(covariance_of(chain), chol_tol=tol)
+        # regression coefficients can exceed 1, so a large finite bound is allowed
+        assert sp_search_cholesky(covariance_of(chain), chol_tol=1e6).min_edges == 0
 
     def test_capacity(self):
         with pytest.raises(CapacityError, match="--max-p"):
