@@ -6,9 +6,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
+from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from corpus import edge_cancellation_sem
 from reference import learn_doc
 from spdag.cli import _search_json, _write_json, main
 from spdag.graph import Dag, _bits, format_dag_text
+from spdag.oracle import TestConfig, fisher_z_backend, iter_triples
 from spdag.sem import GenConfig, LinearSem, covariance_of, random_sem, sample
 from spdag.sp import SpResult
 
@@ -111,19 +116,21 @@ class TestLearn:
         labels = {v for edge in doc["winners"][0] for v in edge}
         assert labels <= {f"v{i}" for i in range(5)}
 
-    def test_center_flag_rescues_shifted_data(self, sem_files, tmp_path):
+    def test_shifted_samples_learn_what_the_originals_do(self, sem_files, tmp_path):
+        # sp centers a sample CSV, so adding 10 to every column changes nothing
         sem, _, _ = sem_files
-        x = sample(sem, 20000, np.random.default_rng(3)) + 10.0
-        data = tmp_path / "shifted.csv"
-        np.savetxt(data, x, delimiter=",")
-        raw, ctr = tmp_path / "raw.json", tmp_path / "ctr.json"
-        run_ok(["learn", "--backend", "fisher", "--input", data,
-                "--alpha", "0.001", "--out", raw])
-        run_ok(["learn", "--backend", "fisher", "--input", data,
-                "--alpha", "0.001", "--center", "--out", ctr])
-        n_true = len(sem.dag.edges)
-        assert json.loads(raw.read_text())["min_edges"] > n_true
-        assert json.loads(ctr.read_text())["min_edges"] == n_true
+        x = sample(sem, 20000, np.random.default_rng(3))
+        docs = []
+        for name, data in (("plain", x), ("shifted", x + 10.0)):
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            np.savetxt(path, data, delimiter=",")
+            run_ok(["learn", "--backend", "fisher", "--input", path,
+                    "--alpha", "0.001", "--out", out])
+            doc = json.loads(out.read_text())
+            doc.pop("wall_time_ms")
+            docs.append(doc)
+        assert docs[1] == docs[0]
+        assert docs[1]["min_edges"] == len(sem.dag.edges)
 
     def test_duplicated_column_reports_collinear_queries(self, sem_files, tmp_path):
         sem, cov, truth = sem_files
@@ -600,6 +607,59 @@ class TestSimulate:
         assert key in err
 
 
+@lru_cache(maxsize=None)
+def golden_sample():
+    """The 2,000-row sample of the sem_files model behind the fisher hash."""
+    sem = random_sem(GenConfig(p=5, expected_nbhd=1.5), np.random.default_rng(7))
+    return sample(sem, 2000, np.random.default_rng(3))
+
+
+def fisher_doc(command, data, work):
+    """The JSON of `sp <command> --backend fisher` on data, less wall_time_ms."""
+    path, out = Path(work) / "data.csv", Path(work) / "r.json"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",")
+    with redirect_stdout(io.StringIO()):
+        run_ok([*command, "--backend", "fisher", "--input", path, "--out", out])
+    doc = json.loads(out.read_text())
+    del doc["wall_time_ms"]
+    return doc
+
+
+FISHER_COMMANDS = (["learn"], ["baseline", "--method", "sgs"], ["baseline", "--method", "pc"])
+
+
+@lru_cache(maxsize=None)
+def golden_sample_docs():
+    with tempfile.TemporaryDirectory() as work:
+        return [fisher_doc(command, golden_sample(), work) for command in FISHER_COMMANDS]
+
+
+class TestSampleInvariance:
+    """sp centers a sample CSV, and the Fisher-z test reads correlations, so
+    shifting or rescaling a column changes no answer."""
+
+    def test_no_statistic_lies_near_the_level(self):
+        # shifting and rescaling move the centered data by rounding only,
+        # which cannot carry a statistic across this margin
+        x = golden_sample()
+        be = fisher_z_backend(x - x.mean(axis=0), TestConfig(alpha=0.01))
+        level = -NormalDist().inv_cdf(0.01 / 2)
+        assert min(abs(be.statistic(j, k, s) - level) for j, k, s in iter_triples(5)) > 0.1
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(
+        column=st.integers(0, 4),
+        shift=st.floats(-1e3, 1e3),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_shift_and_scale_change_no_answer(self, column, shift, scale):
+        moved = golden_sample().copy()
+        moved[:, column] = moved[:, column] * scale + shift
+        with tempfile.TemporaryDirectory() as work:
+            docs = [fisher_doc(command, moved, work) for command in FISHER_COMMANDS]
+        assert docs == golden_sample_docs()
+
+
 class TestErrorSurface:
     def test_cycle_is_a_clean_failure(self, tmp_path, capsys):
         bad = tmp_path / "cyc.txt"
@@ -624,6 +684,49 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "gap.csv" in err and "data row 4" in err and "column b" in err
+
+    @pytest.mark.parametrize("header, name", [(True, "c"), (False, "x2")],
+                             ids=["header", "no-header"])
+    @pytest.mark.parametrize("command", [
+        ["learn"],
+        ["baseline", "--method", "pc"],
+        ["check", "--assumption", "markov"],
+    ], ids=["learn", "baseline", "check"])
+    def test_constant_sample_column_is_rejected(self, tmp_path, capsys, command,
+                                                header, name):
+        # centered, c = 5 would be all zeros, which the collinear rule
+        # would make a collider hub: a -> c <- b
+        x = np.random.default_rng(11).standard_normal((50, 3))
+        x[:, 2] = 5.0
+        data = tmp_path / "flat.csv"
+        np.savetxt(data, x, delimiter=",", header="a,b,c" if header else "",
+                   comments="")
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_dag_text(Dag(3, [])))
+        if command[0] == "check":
+            command = command + ["--graph", str(graph)]
+        assert main(command + ["--backend", "fisher", "--input", str(data),
+                               "--out", "-"]) == 1
+        assert capsys.readouterr() == ("", f"error: {data}: column {name} is constant\n")
+
+    def test_center_flag_is_gone(self, sem_files, capsys):
+        _, cov, _ = sem_files
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--backend", "fisher", "--input", str(cov),
+                  "--center", "--out", "-"])
+        assert exc.value.code == 2
+        assert "--center" in capsys.readouterr().err
+
+    def test_alpha_whose_half_underflows_is_rejected(self, tmp_path, capsys):
+        # alpha/2 rounds to 0, whose normal quantile is -inf: every pair
+        # would test independent
+        data = tmp_path / "data.csv"
+        np.savetxt(data, golden_sample(), delimiter=",")
+        assert main(["learn", "--backend", "fisher", "--alpha", "5e-324",
+                     "--input", str(data), "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "alpha must lie in (0,1) with alpha/2 > 0, got 5e-324" in err
 
     def test_repeated_column_name_is_one_line(self, tmp_path, capsys):
         rows = ["a,a,b"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]

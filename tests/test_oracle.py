@@ -114,6 +114,12 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             gaussian_exact_backend(np.eye(2), zero_tol=0.0)
 
+    @pytest.mark.parametrize("alpha", [5e-324, math.nan])
+    def test_alpha_without_a_finite_level_is_rejected(self, alpha):
+        # the level is -inv_cdf(alpha/2); an alpha/2 of 0 has none
+        with pytest.raises(ValueError, match=f"got {alpha}"):
+            TestConfig(alpha=alpha)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 5.0, math.inf, math.nan])
     def test_zero_tol_outside_the_unit_interval_is_rejected(self, tol):
         # |partial correlation| <= 1, so a tolerance of 1 or more would
