@@ -22,7 +22,7 @@ import numpy as np
 
 from . import assumptions
 from .baselines import pc_pattern, sgs_pattern
-from .exceptions import CapacityError, DagTextError, NumericalError
+from .exceptions import CapacityError, NumericalError
 from .graph import Dag, EquivClassPattern, _bits, load_dag_file
 from .oracle import (
     TestConfig,
@@ -345,14 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        UsageError,
-        DagTextError,
-        CapacityError,
-        NumericalError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CapacityError, NumericalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,8 @@ A trial draws a random model, builds a conditional-independence backend
 in the configured mode, runs each requested method, and scores the
 returned skeleton against the truth.  Every random draw is keyed by
 (master_seed, cell_index, trial), so results are byte-identical across
-runs and worker counts.
+runs and worker counts.  A run is its config and its records: the cells,
+and the skips one rule reads off each cell, follow from the config.
 
 Timings are collected but kept out of trials.csv: wall clock is the one
 column that can never reproduce, so it lives in its own file.
@@ -20,7 +21,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -41,6 +42,11 @@ from .sp import PERMUTATION_CAP, sp_search
 METHODS = ("sp", "sgs", "pc")
 MODES = ("sample", "oracle", "gaussian-exact")
 DEFAULT_ALPHAS = (0.01, 0.001, 0.0001)
+# each config key's type; (kind,) is a tuple of kind
+_KEY_TYPES = {
+    "p_list": (int,), "nbhd_list": (float,), "n_list": (int,), "alpha_list": (float,),
+    "trials": int, "master_seed": int, "methods": (str,), "mode": str,
+}
 
 __all__ = [
     "Cell",
@@ -75,15 +81,15 @@ class ExperimentConfig:
     mode: str = "sample"
 
     def __post_init__(self):
-        for key, kind in (("p_list", int), ("n_list", int), ("alpha_list", float),
-                          ("nbhd_list", float), ("methods", str)):
-            object.__setattr__(self, key, _as_tuple(key, getattr(self, key), kind))
-        for key in ("trials", "master_seed"):
+        for key, kind in _KEY_TYPES.items():
             value = getattr(self, key)
-            try:
-                object.__setattr__(self, key, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            if isinstance(kind, tuple):
+                object.__setattr__(self, key, _as_tuple(key, value, kind[0]))
+            elif kind is int:
+                try:
+                    object.__setattr__(self, key, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{key} must be an integer, got {value!r}") from None
         if not self.p_list or not self.nbhd_list:
             raise ValueError("the grid needs at least one p and one nbhd value")
         if self.trials < 1:
@@ -167,13 +173,19 @@ class SkipRecord(NamedTuple):
 @dataclass(frozen=True)
 class GridResult:
     config: ExperimentConfig
-    cells: tuple
     records: tuple
-    skips: tuple
+
+    @property
+    def cells(self) -> tuple:
+        return grid_cells(self.config)
+
+    @property
+    def skips(self) -> tuple:
+        return tuple(s for cell in self.cells for s in _skips(self.config, cell))
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
+    extra = set(doc) - set(_KEY_TYPES)
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     return ExperimentConfig(**doc)
@@ -193,20 +205,12 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ValueError(f"line {line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        if key not in {f.name for f in fields(ExperimentConfig)}:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
+        items = [v.strip() for v in value.split(",") if v.strip()]
         try:
-            if key in ("p_list", "n_list"):
-                doc[key] = [int(v) for v in items]
-            elif key in ("alpha_list", "nbhd_list"):
-                doc[key] = [float(v) for v in items]
-            elif key in ("trials", "master_seed"):
-                doc[key] = int(items[0])
-            elif key == "methods":
-                doc[key] = items
-            else:
-                doc[key] = items[0]
+            doc[key] = [kind[0](v) for v in items] if isinstance(kind, tuple) else kind(items[0])
         except (ValueError, IndexError):
             raise ValueError(f"line {line_no}: bad value for {key}: {value.strip()!r}") from None
     return config_from_json(doc)
@@ -218,40 +222,44 @@ def config_from_file(path) -> ExperimentConfig:
 
 
 def grid_cells(cfg: ExperimentConfig) -> tuple:
-    """Expand the full grid; invalid cells are filtered later but still
-    consume an index so seeds never depend on the filtering."""
-    cells = []
-    for i, (p, n, alpha, nbhd) in enumerate(
-        product(cfg.p_list, cfg.n_list, cfg.alpha_list, cfg.nbhd_list)
-    ):
-        cells.append(Cell(i, p, n, alpha, nbhd))
-    return tuple(cells)
+    """Expand the full grid; a skipped cell keeps its index, so seeds
+    never depend on the skip rule."""
+    grid = product(cfg.p_list, cfg.n_list, cfg.alpha_list, cfg.nbhd_list)
+    return tuple(Cell(i, *values) for i, values in enumerate(grid))
 
 
-def _cell_skip_reason(cfg: ExperimentConfig, cell: Cell) -> str | None:
+# each method's largest p, and the search that sets it
+_CAPS = {
+    "sp": (PERMUTATION_CAP, "2^p prefix-set search"),
+    "sgs": (SKELETON_CAP, "skeleton search"),
+    "pc": (SKELETON_CAP, "skeleton search"),
+}
+
+
+def _skips(cfg: ExperimentConfig, cell: Cell) -> list:
+    """What the grid leaves out of a cell: the whole cell (method "all"),
+    or else each configured method whose cap p exceeds, in METHODS order."""
     if cell.nbhd > cell.p - 1:
-        return f"expected neighbourhood {cell.nbhd} exceeds p-1={cell.p - 1}"
-    if cfg.mode == "sample" and cell.n < cell.p + 4:
-        return f"n={cell.n} is too small for the test statistic at p={cell.p}"
-    return None
-
-
-def _method_skip_reason(method: str, cell: Cell) -> str | None:
-    if method == "sp" and cell.p > PERMUTATION_CAP:
-        return f"p={cell.p} exceeds the 2^p prefix-set search cap {PERMUTATION_CAP}"
-    if method in ("sgs", "pc") and cell.p > SKELETON_CAP:
-        return f"p={cell.p} exceeds the skeleton search cap {SKELETON_CAP}"
-    return None
+        reasons = {"all": f"expected neighbourhood {cell.nbhd} exceeds p-1={cell.p - 1}"}
+    elif cfg.mode == "sample" and cell.n < cell.p + 4:
+        reasons = {"all": f"n={cell.n} is too small for the test statistic at p={cell.p}"}
+    else:
+        reasons = {m: f"p={cell.p} exceeds the {search} cap {cap}"
+                   for m, (cap, search) in _CAPS.items() if m in cfg.methods and cell.p > cap}
+    return [SkipRecord(*cell[1:], method, reason) for method, reason in reasons.items()]
 
 
 def _trial_seed(cfg: ExperimentConfig, cell: Cell, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((cfg.master_seed, cell.index, trial))
 
 
-def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> list:
-    """One seeded draw-and-score pass; returns a record per method."""
-    if methods is None:
-        methods = cfg.methods
+def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int) -> list:
+    """One seeded draw-and-score pass: a record per method the cell's
+    skips leave, and nothing drawn when they leave none."""
+    skipped = {s.method for s in _skips(cfg, cell)}
+    methods = [m for m in cfg.methods if m not in skipped and "all" not in skipped]
+    if not methods:
+        return []
     ss = _trial_seed(cfg, cell, trial)
     seed_id = int(ss.generate_state(1, np.uint64)[0])
     rng = np.random.default_rng(ss)
@@ -301,40 +309,18 @@ def run_trial(cfg: ExperimentConfig, cell: Cell, trial: int, methods=None) -> li
 
 
 def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
-    """Run every live (cell, trial) pair and gather the records.
+    """Run every (cell, trial) pair and gather the records.
 
-    Capacity and validity problems are decided up front per cell and
-    method, recorded as skips, and never abort the run.  Worker count
-    affects scheduling only: trials are submitted, and their results
-    read, in (cell, trial) order, and each trial lists its methods in
-    METHODS order, so the records come out in (cell, trial, method)
-    order either way.  No more workers start than there are trials.
+    Skips are decided per cell and method by the one rule run_trial
+    reads, and never abort the run.  Worker count affects scheduling
+    only: trials are submitted, and their results read, in (cell, trial)
+    order, and each trial lists its methods in METHODS order, so the
+    records come out in (cell, trial, method) order either way.  No more
+    workers start than there are trials.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    cells = grid_cells(cfg)
-    skips = []
-    work = []  # (cell, live_methods)
-    for cell in cells:
-        cell_reason = _cell_skip_reason(cfg, cell)
-        if cell_reason is not None:
-            skips.append(
-                SkipRecord(cell.p, cell.n, cell.alpha, cell.nbhd, "all", cell_reason)
-            )
-            continue
-        live = []
-        for method in cfg.methods:
-            reason = _method_skip_reason(method, cell)
-            if reason is None:
-                live.append(method)
-            else:
-                skips.append(
-                    SkipRecord(cell.p, cell.n, cell.alpha, cell.nbhd, method, reason)
-                )
-        if live:
-            work.append((cell, tuple(live)))
-
-    tasks = [(cfg, cell, trial, live) for cell, live in work for trial in range(cfg.trials)]
+    tasks = [(cfg, cell, trial) for cell in grid_cells(cfg) for trial in range(cfg.trials)]
     # a fork pool starts every worker process on its first submit
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -342,8 +328,7 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_trial, *zip(*tasks)))
-    records = tuple(r for batch in batches for r in batch)
-    return GridResult(config=cfg, cells=cells, records=records, skips=tuple(skips))
+    return GridResult(config=cfg, records=tuple(r for batch in batches for r in batch))
 
 
 METRICS = (
@@ -386,50 +371,19 @@ TIMING_FIELDS = ("p", "n", "alpha", "nbhd", "trial", "method")
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return str(value)
 
 
-def write_trials_csv(result: GridResult, path) -> None:
-    """Deterministic trial records; wall time deliberately excluded."""
+def _write_csv(path, header, rows) -> None:
+    """Every harness CSV: \\n line ends, true/false, an empty cell for None."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRIAL_FIELDS)
-        for r in result.records:
-            w.writerow([_fmt(getattr(r, name)) for name in TRIAL_FIELDS])
-
-
-def write_timings_csv(result: GridResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow((*TIMING_FIELDS, "wall_time_ms"))
-        for r in result.records:
-            w.writerow([getattr(r, name) for name in TIMING_FIELDS] + [f"{r.wall_time_ms:.3f}"])
-
-
-def write_aggregate_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("p", "n", "alpha", "nbhd", "method", "metric", "value"))
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
-def write_summary_json(result: GridResult, rows, path) -> None:
-    per_cell: dict = {}
-    for p, n, alpha, nbhd, method, metric, value in rows:
-        key = f"p={p} n={n} alpha={alpha} nbhd={nbhd}"
-        per_cell.setdefault(key, {}).setdefault(method, {})[metric] = value
-    doc = {
-        "config": asdict(result.config),
-        "cells": per_cell,
-        "skipped": [s._asdict() for s in result.skips],
-        "record_count": len(result.records),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        w.writerow(header)
+        w.writerows(map(_fmt, row) for row in rows)
 
 
 def emit_plot_data(rows, out_dir) -> list:
@@ -440,11 +394,7 @@ def emit_plot_data(rows, out_dir) -> list:
     written = []
     for (p, n, alpha) in sorted(panels):
         path = os.path.join(out_dir, f"fig_{p}_{n}_{alpha}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(("nbhd", "method", "metric", "value"))
-            for row in panels[(p, n, alpha)]:
-                w.writerow([_fmt(v) for v in row])
+        _write_csv(path, ("nbhd", "method", "metric", "value"), panels[(p, n, alpha)])
         written.append(path)
     return written
 
@@ -459,9 +409,24 @@ def write_outputs(result: GridResult, out_dir) -> dict:
         "summary": os.path.join(out_dir, "summary.json"),
     }
     rows = aggregate_rows(result)
-    write_trials_csv(result, paths["trials"])
-    write_timings_csv(result, paths["timings"])
-    write_aggregate_csv(rows, paths["aggregate"])
-    write_summary_json(result, rows, paths["summary"])
+    trial = operator.attrgetter(*TRIAL_FIELDS)
+    _write_csv(paths["trials"], TRIAL_FIELDS, map(trial, result.records))
+    timing = operator.attrgetter(*TIMING_FIELDS)
+    _write_csv(paths["timings"], (*TIMING_FIELDS, "wall_time_ms"),
+               ((*timing(r), f"{r.wall_time_ms:.3f}") for r in result.records))
+    _write_csv(paths["aggregate"], ("p", "n", "alpha", "nbhd", "method", "metric", "value"), rows)
+    per_cell: dict = {}
+    for p, n, alpha, nbhd, method, metric, value in rows:
+        key = f"p={p} n={n} alpha={alpha} nbhd={nbhd}"
+        per_cell.setdefault(key, {}).setdefault(method, {})[metric] = value
+    doc = {
+        "config": asdict(result.config),
+        "cells": per_cell,
+        "skipped": [s._asdict() for s in result.skips],
+        "record_count": len(result.records),
+    }
+    with open(paths["summary"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     paths["figures"] = emit_plot_data(rows, out_dir)
     return paths

@@ -167,10 +167,6 @@ class DSepBackend(CiBackend):
     def p(self) -> int:
         return self._g.p
 
-    @property
-    def graph(self) -> Dag:
-        return self._g
-
     def is_independent(self, j, k, s=()):
         return _d_separated(self._g, *_canonical_query(self.p, j, k, s))
 

@@ -22,7 +22,6 @@ bit patterns).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,10 +39,6 @@ __all__ = [
     "covariance_of",
     "precision_of",
     "sample",
-    "sem_to_json",
-    "sem_from_json",
-    "save_sem",
-    "load_sem",
 ]
 
 WEIGHT_LO = 0.25
@@ -186,35 +181,3 @@ def sample(sem: LinearSem, n: int, rng: np.random.Generator) -> np.ndarray:
     eps = rng.standard_normal((n, sem.p)) * np.sqrt(np.asarray(sem.noise_vars))
     return eps @ np.linalg.inv(np.eye(sem.p) - sem.weight_matrix())
 
-
-def sem_to_json(sem: LinearSem) -> dict:
-    """Plain-dict form: {p, edges: [[j, k, weight]...], noise_vars: [...]}."""
-    return {
-        "p": sem.p,
-        "edges": [[j, k, sem.weights[(j, k)]] for j, k in sorted(sem.dag.edges)],
-        "noise_vars": list(sem.noise_vars),
-    }
-
-
-def sem_from_json(doc: dict) -> LinearSem:
-    """Inverse of :func:`sem_to_json`; validates through the constructors."""
-    try:
-        p = int(doc["p"])
-        edges = [(int(j), int(k), float(w)) for j, k, w in doc["edges"]]
-        noise = tuple(float(v) for v in doc.get("noise_vars", ()))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed model document: {err}") from None
-    dag = Dag(p, [(j, k) for j, k, _ in edges])
-    weights = {(j, k): w for j, k, w in edges}
-    return LinearSem(dag, weights, noise)
-
-
-def save_sem(sem: LinearSem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sem_to_json(sem), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_sem(path) -> LinearSem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sem_from_json(json.load(fh))

@@ -10,6 +10,8 @@ from spdag.harness import (
     Cell,
     DEFAULT_ALPHAS,
     ExperimentConfig,
+    GridResult,
+    SkipRecord,
     TrialRecord,
     aggregate_rows,
     config_from_file,
@@ -96,6 +98,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             config_from_text('{"p_list": [4], "nbhd_list": [1], "x": 1}')
 
+    def test_text_and_json_read_every_key_alike(self):
+        text = config_from_text(
+            "p_list=4,6\nnbhd_list=0.5,2\nn_list=50,80\nalpha_list=0.05\n"
+            "trials=3\nmaster_seed=9\nmethods=pc,sp\nmode=oracle\n"
+        )
+        doc = config_from_text(json.dumps(dict(
+            p_list=[4, 6], nbhd_list=[0.5, 2.0], n_list=[50, 80], alpha_list=[0.05],
+            trials=3, master_seed=9, methods=["pc", "sp"], mode="oracle",
+        )))
+        assert text == doc
+        assert text.nbhd_list == (0.5, 2.0) and text.methods == ("sp", "pc")
+        with pytest.raises(ValueError, match="line 2: bad value for trials"):
+            config_from_text("p_list=4\ntrials=two\nnbhd_list=1")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "grid.cfg"
         path.write_text("p_list=5\nnbhd_list=2\ntrials=2\n")
@@ -171,6 +187,50 @@ class TestRunTrial:
         cell = grid_cells(cfg)[0]
         seeds = {run_trial(cfg, cell, t)[0].seed for t in range(3)}
         assert len(seeds) == 3
+
+
+def _strip(records):
+    return [{k: v for k, v in vars(r).items() if k != "wall_time_ms"} for r in records]
+
+
+class TestSkipsPerTrial:
+    """run_trial applies the grid's skip rule on its own."""
+
+    def test_capped_method_is_left_out(self):
+        cfg = small_config(p_list=(4, 10), mode="oracle", trials=1)
+        cell = grid_cells(cfg)[1]
+        assert cell.p == 10
+        assert [r.method for r in run_trial(cfg, cell, 0)] == ["sgs", "pc"]
+
+    def test_whole_cell_skip_draws_nothing(self, monkeypatch):
+        cfg = small_config(n_list=(5,))
+
+        def no_draw(*args):
+            raise AssertionError("a skipped cell drew a model")
+
+        monkeypatch.setattr(harness, "random_sem", no_draw)
+        assert run_trial(cfg, grid_cells(cfg)[0], 0) == []
+        oversized = small_config(nbhd_list=(9.0,), mode="oracle")
+        assert run_trial(oversized, grid_cells(oversized)[0], 0) == []
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(p_list=(4, 10), mode="oracle", trials=2),
+        small_config(n_list=(5, 60), trials=2),
+    ], ids=["capped", "tiny-sample"])
+    def test_grid_is_its_trials_in_order(self, cfg):
+        res = run_grid(cfg)
+        each = [r for cell in grid_cells(cfg) for t in range(cfg.trials) for r in run_trial(cfg, cell, t)]
+        assert res.records and _strip(res.records) == _strip(each)
+
+    def test_result_reads_cells_and_skips_off_its_config(self):
+        cfg = small_config(p_list=(3, 13), nbhd_list=(1.0, 2.5), mode="oracle")
+        res = GridResult(cfg, ())
+        assert res.cells == grid_cells(cfg)
+        assert [(s.p, s.nbhd, s.method) for s in res.skips] == [
+            (3, 2.5, "all"), (13, 1.0, "sp"), (13, 1.0, "sgs"), (13, 1.0, "pc"),
+            (13, 2.5, "sp"), (13, 2.5, "sgs"), (13, 2.5, "pc"),
+        ]
+        assert all(isinstance(s, SkipRecord) for s in res.skips)
 
 
 class TestRunGrid:

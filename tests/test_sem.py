@@ -1,7 +1,6 @@
 """Tests for the linear Gaussian model generator and sampler."""
 
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -14,15 +13,11 @@ from spdag.sem import (
     GenConfig,
     LinearSem,
     covariance_of,
-    load_sem,
     precision_of,
     random_dag,
     random_sem,
     random_weights,
     sample,
-    save_sem,
-    sem_from_json,
-    sem_to_json,
 )
 
 from corpus import CHAIN3, edge_cancellation_sem, random_sem_pool
@@ -235,30 +230,6 @@ class TestModelFaithfulness:
         sig = covariance_of(sem).values
         # the vanishing partial correlation despite 0->1 being an edge
         assert abs(partial_correlation(sig, 0, 1, [3])) < 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        sem = random_sem_pool(405, 1, p_values=(5,))[0]
-        path = tmp_path / "model.json"
-        save_sem(sem, path)
-        back = load_sem(path)
-        assert back == sem
-
-    def test_json_layout(self):
-        sem = LinearSem(CHAIN3, {(0, 1): 0.5, (1, 2): -0.75}, noise_vars=(1.0, 2.0, 3.0))
-        doc = sem_to_json(sem)
-        assert doc["p"] == 3
-        assert sorted(doc["edges"]) == [[0, 1, 0.5], [1, 2, -0.75]]
-        assert doc["noise_vars"] == [1.0, 2.0, 3.0]
-        # and the document is plain JSON
-        json.dumps(doc)
-
-    def test_rejects_malformed_document(self):
-        with pytest.raises(ValueError):
-            sem_from_json({"p": 3})
-        with pytest.raises(ValueError):
-            sem_from_json({"p": 2, "edges": [[0, 1]], "noise_vars": [1, 1]})
 
 
 class TestRandomSem:
