@@ -6,168 +6,25 @@ and Cholesky-based routes), conditional-independence backends from exact
 oracles down to finite-sample tests, the SGS and PC reference learners,
 checkers for the identifiability assumptions that separate the methods,
 and a seeded simulation harness behind the ``sp`` command line tool.
+
+Each module declares its public names in its own ``__all__``; the package
+re-exports all of them.
 """
 
-from .exceptions import (
-    CapacityError,
-    DagTextError,
-    MissingSepsetError,
-    NumericalError,
-)
-from .graph import (
-    Dag,
-    DagDocument,
-    EquivClassPattern,
-    Permutation,
-    consistent_order,
-    d_separated,
-    enumerate_all_dags,
-    format_dag_text,
-    load_dag_file,
-    markov_equivalent,
-    parse_dag_text,
-    pattern_of,
-    skeleton,
-    topological_orders,
-    triangles,
-    unshielded_triples,
-    v_structures,
-)
-from .oracle import (
-    CiBackend,
-    CovarianceMatrix,
-    TestConfig,
-    caching_wrapper,
-    dsep_backend,
-    explicit_backend,
-    fisher_z_backend,
-    gaussian_exact_backend,
-    iter_triples,
-    lambda_backend,
-    load_covariance_csv,
-    load_samples_csv,
-    partial_correlation,
-)
-from .sem import (
-    GenConfig,
-    LinearSem,
-    covariance_of,
-    precision_of,
-    random_dag,
-    random_sem,
-    random_weights,
-    sample,
-)
-from .sp import (
-    SpResult,
-    build_dag_for_permutation,
-    sp_search,
-    sp_search_cholesky,
-)
-from .baselines import (
-    SepsetTable,
-    orient_v_structures,
-    pc_pattern,
-    pc_skeleton,
-    sgs_pattern,
-    sgs_skeleton,
-)
-from .assumptions import (
-    AssumptionReport,
-    Witness,
-    check_adjacency_faithfulness,
-    check_lambda_strong_smr,
-    check_markov,
-    check_orientation_faithfulness,
-    check_p_minimality,
-    check_restricted_faithfulness,
-    check_sgs_minimality,
-    check_smr,
-    check_triangle_faithfulness,
-    d_separation_set,
-)
-from .harness import (
-    ExperimentConfig,
-    GridResult,
-    TrialRecord,
-    config_from_file,
-    run_grid,
-    run_trial,
-    write_outputs,
-)
+from . import assumptions, baselines, exceptions, graph, harness, oracle, sem, sp
+from .exceptions import *
+from .graph import *
+from .oracle import *
+from .sem import *
+from .sp import *
+from .baselines import *
+from .assumptions import *
+from .harness import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
-    "CapacityError",
-    "CiBackend",
-    "CovarianceMatrix",
-    "Dag",
-    "DagDocument",
-    "DagTextError",
-    "EquivClassPattern",
-    "ExperimentConfig",
-    "GenConfig",
-    "GridResult",
-    "LinearSem",
-    "MissingSepsetError",
-    "NumericalError",
-    "Permutation",
-    "SepsetTable",
-    "SpResult",
-    "TestConfig",
-    "TrialRecord",
-    "Witness",
-    "build_dag_for_permutation",
-    "caching_wrapper",
-    "check_adjacency_faithfulness",
-    "check_lambda_strong_smr",
-    "check_markov",
-    "check_orientation_faithfulness",
-    "check_p_minimality",
-    "check_restricted_faithfulness",
-    "check_sgs_minimality",
-    "check_smr",
-    "check_triangle_faithfulness",
-    "config_from_file",
-    "consistent_order",
-    "covariance_of",
-    "d_separated",
-    "d_separation_set",
-    "dsep_backend",
-    "enumerate_all_dags",
-    "explicit_backend",
-    "fisher_z_backend",
-    "format_dag_text",
-    "gaussian_exact_backend",
-    "iter_triples",
-    "lambda_backend",
-    "load_covariance_csv",
-    "load_dag_file",
-    "load_samples_csv",
-    "markov_equivalent",
-    "orient_v_structures",
-    "parse_dag_text",
-    "partial_correlation",
-    "pattern_of",
-    "pc_pattern",
-    "pc_skeleton",
-    "precision_of",
-    "random_dag",
-    "random_sem",
-    "random_weights",
-    "run_grid",
-    "run_trial",
-    "sample",
-    "sgs_pattern",
-    "sgs_skeleton",
-    "skeleton",
-    "sp_search",
-    "sp_search_cholesky",
-    "topological_orders",
-    "triangles",
-    "unshielded_triples",
-    "v_structures",
-    "write_outputs",
+    name
+    for module in (exceptions, graph, oracle, sem, sp, baselines, assumptions, harness)
+    for name in module.__all__
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exceptions import CapacityError, MissingSepsetError
-from .graph import Dag, EquivClassPattern, _adjacency_masks, _bits, _colliders
+from .graph import EquivClassPattern, _bits, _colliders
 from .oracle import CiBackend, _pair_subsets
 
 SKELETON_CAP = 12
@@ -104,35 +104,27 @@ def pc_skeleton(ci: CiBackend):
 
     At level l every ordered adjacent pair (j, k) is tested against all
     size-l subsets of adj(j)\\{k}; deletion takes effect immediately.
-    The sweep stops once no neighbourhood can supply a bigger set.
+    Levels run while some vertex has more than l neighbours, so some
+    neighbourhood can still supply a set.
     """
     p = ci.p
     _check_cap(p)
-    adj = {v: set(range(p)) - {v} for v in range(p)}
+    full = (1 << p) - 1
+    adj = [full ^ 1 << v for v in range(p)]  # vertex masks
     sepsets = SepsetTable()
     level = 0
-    while True:
-        any_big_enough = False
+    while any(a.bit_count() > level for a in adj):
         for j in range(p):
-            for k in range(p):
-                if k == j or k not in adj[j]:
-                    continue
-                pool = sorted(adj[j] - {k})
-                if len(pool) < level:
-                    continue
-                any_big_enough = True
-                for s in combinations(pool, level):
+            # adj[j] loses only the k under test while j's pairs run
+            for k in _bits(adj[j]):
+                for s in combinations(_bits(adj[j] ^ 1 << k), level):
                     if ci.is_independent(j, k, s):
-                        adj[j].discard(k)
-                        adj[k].discard(j)
+                        adj[j] ^= 1 << k
+                        adj[k] ^= 1 << j
                         sepsets.record(j, k, s)
                         break
-        if not any_big_enough:
-            break
         level += 1
-    edges = frozenset(
-        (j, k) for j in range(p) for k in adj[j] if j < k
-    )
+    edges = frozenset((j, k) for j in range(p) for k in _bits(adj[j] & -(2 << j)))
     return edges, sepsets
 
 
@@ -145,7 +137,10 @@ def orient_v_structures(skeleton, sepsets: SepsetTable) -> EquivClassPattern:
     a caller error and raises.
     """
     edges = frozenset(tuple(sorted(e)) for e in skeleton)
-    adj = _adjacency_masks(Dag(1 + max((k for _, k in edges), default=-1), edges))
+    adj = [0] * (1 + max((k for _, k in edges), default=-1))
+    for j, k in edges:
+        adj[j] |= 1 << k
+        adj[k] |= 1 << j
     vees = frozenset(
         (j, mid, k)
         for j, k, common in _colliders(adj, adj)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CapacityError", "DagTextError", "MissingSepsetError", "NumericalError"]
+
 
 class CapacityError(RuntimeError):
     """Raised when a problem size exceeds a guarded cap.

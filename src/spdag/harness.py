@@ -90,13 +90,13 @@ class ExperimentConfig:
                     object.__setattr__(self, key, operator.index(value))
                 except TypeError:
                     raise ValueError(f"{key} must be an integer, got {value!r}") from None
-        if not self.p_list or not self.nbhd_list:
-            raise ValueError("the grid needs at least one p and one nbhd value")
         if self.trials < 1:
             raise ValueError(f"trial count must be positive, got {self.trials}")
         for a in self.alpha_list:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"test size must sit in (0, 1), got {a}")
+            try:
+                TestConfig(alpha=a)
+            except ValueError as exc:
+                raise ValueError(f"alpha_list: {exc}") from None
         for b in self.nbhd_list:
             if not b > 0.0:  # NaN fails too
                 raise ValueError(f"nbhd_list entries must be positive, got {b}")
@@ -117,13 +117,16 @@ class ExperimentConfig:
 
 
 def _as_tuple(key: str, values, kind) -> tuple:
-    """values as a tuple of kind; a scalar, a string or a bad member raises naming key."""
+    """values as a nonempty tuple of kind; a scalar, a string, a bad member
+    or no member at all raises naming key."""
     try:
         if not isinstance(values, str):
-            return tuple(kind(v) for v in values)
+            out = tuple(kind(v) for v in values)
+            if out:
+                return out
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"{key} must be a list of {kind.__name__}, got {values!r}")
+    raise ValueError(f"{key} must be a nonempty list of {kind.__name__}, got {values!r}")
 
 
 class Cell(NamedTuple):

@@ -4,9 +4,9 @@ Everything here favors being obviously correct over being fast: the
 separation oracle enumerates every simple trail and applies the blocking
 definition verbatim, graph enumeration filters raw adjacency matrices,
 ordering enumeration filters raw permutations, equivalence class
-patterns are read off edge tuples pair by pair, and the Cholesky route is
-checked against a factorization of the whole permuted precision matrix,
-one ordering at a time. The `sp learn` document is built whole, as
+patterns are read off edge tuples pair by pair, PC keeps its adjacencies
+as Python sets, and the Cholesky route is checked against a factorization
+of the whole permuted precision matrix, one ordering at a time. The `sp learn` document is built whole, as
 nested lists. Production code must agree with these on everything small
 enough to brute force.
 """
@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from spdag.baselines import SepsetTable
 from spdag.exceptions import NumericalError
 from spdag.graph import Dag, EquivClassPattern, as_permutation
 from spdag.oracle import CovarianceMatrix
@@ -97,6 +98,39 @@ def d_separation_set_brute(g: Dag):
                 if d_separated_by_trails(g, j, k, s):
                     out.add((j, k, frozenset(s)))
     return frozenset(out)
+
+
+def pc_skeleton_by_sets(ci):
+    """Level-wise PC skeleton on adjacency sets, sweeping every ordered pair.
+
+    At level l each ordered adjacent pair (j, k) is tested against every
+    size-l subset of adj(j) - {k}, sorted; a deletion takes effect at
+    once. A level that finds no pair with a big enough pool ends the run.
+    """
+    p = ci.p
+    adj = {v: set(range(p)) - {v} for v in range(p)}
+    sepsets = SepsetTable()
+    level = 0
+    while True:
+        any_big_enough = False
+        for j in range(p):
+            for k in range(p):
+                if k == j or k not in adj[j]:
+                    continue
+                pool = sorted(adj[j] - {k})
+                if len(pool) < level:
+                    continue
+                any_big_enough = True
+                for s in combinations(pool, level):
+                    if ci.is_independent(j, k, s):
+                        adj[j].discard(k)
+                        adj[k].discard(j)
+                        sepsets.record(j, k, s)
+                        break
+        if not any_big_enough:
+            break
+        level += 1
+    return frozenset((j, k) for j in range(p) for k in adj[j] if j < k), sepsets
 
 
 def linear_extensions_brute(g: Dag):

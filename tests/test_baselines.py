@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdag.baselines import (
     SepsetTable,
@@ -28,6 +30,7 @@ from corpus import (
     missed_independence_backend,
     random_dag_pool,
 )
+from reference import pc_skeleton_by_sets
 
 
 def random_explicit_backends(seed, count, p=4, density=0.3):
@@ -37,6 +40,17 @@ def random_explicit_backends(seed, count, p=4, density=0.3):
         explicit_backend(p, [t for t in triples if rng.random() < density])
         for _ in range(count)
     ]
+
+
+class QueryLog:
+    """A backend that answers as ci does and records each query in order."""
+
+    def __init__(self, ci):
+        self.p, self._ci, self.queries = ci.p, ci, []
+
+    def is_independent(self, j, k, s=()):
+        self.queries.append((j, k, tuple(s)))
+        return self._ci.is_independent(j, k, s)
 
 
 class TestSepsetTable:
@@ -122,6 +136,30 @@ class TestPcSkeleton:
             _, table = pc_skeleton(ci)
             for (j, k), s in table.items():
                 assert ci.is_independent(j, k, s)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(0, 8),
+        density=st.floats(0.0, 1.0),
+        dsep=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    def test_matches_the_set_based_reference(self, seed, p, density, dsep):
+        rng = np.random.default_rng(seed)
+        if dsep:
+            order = rng.permutation(p)
+            ci = dsep_backend(Dag(p, [
+                (int(order[a]), int(order[b]))
+                for a, b in combinations(range(p), 2) if rng.random() < density
+            ]))
+        else:
+            ci = explicit_backend(p, [t for t in iter_triples(p) if rng.random() < density])
+        got, want = QueryLog(ci), QueryLog(ci)
+        got_edges, got_sets = pc_skeleton(got)
+        want_edges, want_sets = pc_skeleton_by_sets(want)
+        assert got_edges == want_edges
+        assert dict(got_sets.items()) == dict(want_sets.items())
+        assert got.queries == want.queries
 
 
 class TestOrientation:

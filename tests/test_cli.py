@@ -596,7 +596,12 @@ class TestSimulate:
         ("grid.json", '{"p_list": [4], "nbhd_list": [1], "trials": "2"}', "trials"),
         ("grid.cfg", "p_list=4\nnbhd_list=1,nan\n", "nbhd_list"),
         ("grid.json", '{"p_list": [4], "nbhd_list": [1, NaN]}', "nbhd_list"),
-    ], ids=["empty-value", "bad-item", "scalar-list", "string-count", "nan-nbhd", "nan-nbhd-json"])
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nalpha_list=\n", "alpha_list"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nn_list=\n", "n_list"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nmethods=\n", "methods"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nalpha_list=5e-324\n", "alpha_list"),
+    ], ids=["empty-value", "bad-item", "scalar-list", "string-count", "nan-nbhd", "nan-nbhd-json",
+            "empty-alphas", "empty-ns", "empty-methods", "underflowing-alpha"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, name, text, key):
         cfg = tmp_path / name
         cfg.write_text(text)
@@ -604,7 +609,8 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "o")]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert key in err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "o").exists()
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ MODULES = (
     "spdag",
     "spdag.assumptions",
     "spdag.baselines",
+    "spdag.exceptions",
     "spdag.graph",
     "spdag.harness",
     "spdag.oracle",
@@ -30,3 +31,17 @@ def test_the_per_ordering_factorization_is_not_exported():
     for gone in ("CholeskyFactor", "permuted_precision", "upper_cholesky"):
         assert gone not in spdag.__all__
         assert not hasattr(spdag, gone)
+
+
+# the package re-exports its modules' lists in this order
+PACKAGE_ORDER = (
+    "exceptions", "graph", "oracle", "sem", "sp", "baselines", "assumptions", "harness",
+)
+
+
+def test_the_package_list_concatenates_the_module_lists():
+    modules = [importlib.import_module(f"spdag.{m}") for m in PACKAGE_ORDER]
+    assert spdag.__all__ == [name for m in modules for name in m.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(spdag, name) is getattr(module, name), (module.__name__, name)

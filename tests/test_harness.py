@@ -112,6 +112,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2: bad value for trials"):
             config_from_text("p_list=4\ntrials=two\nnbhd_list=1")
 
+    @pytest.mark.parametrize("key", ["p_list", "nbhd_list", "n_list", "alpha_list", "methods"])
+    def test_an_empty_list_is_rejected_by_name(self, key):
+        text = f"p_list=4\nnbhd_list=1\n{key}=\n"
+        with pytest.raises(ValueError, match=f"^{key} must be a nonempty list"):
+            config_from_text(text)
+
+    @pytest.mark.parametrize("mode", ["sample", "oracle", "gaussian-exact"])
+    @pytest.mark.parametrize("alpha", ["5e-324", "0", "1", "nan"])
+    def test_alpha_follows_the_backend_rule_in_every_mode(self, mode, alpha):
+        # 5e-324 is positive but alpha/2 underflows to 0, which the
+        # Fisher-z test rejects; the config now rejects it up front
+        with pytest.raises(ValueError, match="^alpha_list: "):
+            config_from_text(f"p_list=4\nnbhd_list=1\nmode={mode}\nalpha_list=0.01,{alpha}\n")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "grid.cfg"
         path.write_text("p_list=5\nnbhd_list=2\ntrials=2\n")
