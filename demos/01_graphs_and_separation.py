@@ -34,7 +34,7 @@ print("0 vs 2 given {1,3}: separated =", d_separated(g, 0, 2, {1, 3}))
 # edges; this one admits several.
 orders = list(topological_orders(g))
 print("\ntopological orders:", len(orders))
-print("first:", orders[0].order)
+print("first:", orders[0])
 
 # Two DAGs are indistinguishable from independence data alone iff they
 # share skeleton and v-structures. Flipping the edge 0 -> 1 preserves

@@ -27,7 +27,6 @@ from .exceptions import CapacityError, DagTextError
 __all__ = [
     "Dag",
     "CycleError",
-    "Permutation",
     "EquivClassPattern",
     "DagDocument",
     "d_separated",
@@ -38,7 +37,6 @@ __all__ = [
     "pattern_of",
     "markov_equivalent",
     "topological_orders",
-    "consistent_order",
     "enumerate_all_dags",
     "parse_dag_text",
     "format_dag_text",
@@ -399,74 +397,10 @@ def markov_equivalent(g1: Dag, g2: Dag) -> bool:
     return pattern_of(g1) == pattern_of(g2)
 
 
-class Permutation:
-    """A total ordering of the vertices ``0..p-1``.
-
-    ``order[i]`` is the vertex placed at position ``i``; construction
-    validates that ``order`` is a bijection.
-    """
-
-    __slots__ = ("_order", "_pos")
-
-    def __init__(self, order: Sequence[int]):
-        order = tuple(int(v) for v in order)
-        p = len(order)
-        pos = [-1] * p
-        for i, v in enumerate(order):
-            if not 0 <= v < p or pos[v] != -1:
-                raise ValueError(f"not a permutation of 0..{p - 1}: {order}")
-            pos[v] = i
-        self._order = order
-        self._pos = tuple(pos)
-
-    @classmethod
-    def identity(cls, p: int) -> "Permutation":
-        return cls(range(p))
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return self._order
-
-    def position(self, v: int) -> int:
-        """Position of vertex ``v`` in the ordering (the inverse map)."""
-        return self._pos[v]
-
-    def inverse(self) -> "Permutation":
-        return Permutation(self._pos)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
-
-    def __getitem__(self, i: int) -> int:
-        return self._order[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Permutation):
-            return self._order == other._order
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._order)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self._order)})"
-
-
-def as_permutation(pi, p: int | None = None) -> Permutation:
-    """Coerce a sequence or Permutation; optionally check its length."""
-    perm = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if p is not None and len(perm) != p:
-        raise ValueError(f"permutation has length {len(perm)}, expected {p}")
-    return perm
-
-
-def topological_orders(g: Dag) -> Iterator[Permutation]:
+def topological_orders(g: Dag) -> Iterator[tuple[int, ...]]:
     """All orderings of ``g``'s vertices that place parents before children.
 
-    Emitted in lexicographic order of the underlying vertex sequence.
+    Each ordering is a tuple of vertices, emitted in lexicographic order.
     The count is factorial in the worst case (empty graph), so callers
     on large graphs should consume lazily.
     """
@@ -474,9 +408,9 @@ def topological_orders(g: Dag) -> Iterator[Permutation]:
     parent_masks = g._parent_masks
     prefix: list[int] = []
 
-    def rec(placed_mask: int) -> Iterator[Permutation]:
+    def rec(placed_mask: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == p:
-            yield Permutation(prefix)
+            yield tuple(prefix)
             return
         for v in range(p):
             bit = 1 << v
@@ -489,11 +423,6 @@ def topological_orders(g: Dag) -> Iterator[Permutation]:
             prefix.pop()
 
     return rec(0)
-
-
-def consistent_order(g: Dag) -> Permutation:
-    """The lexicographically smallest topological order of ``g``."""
-    return next(topological_orders(g))
 
 
 def _reach_with(reach: list[int], u: int, v: int) -> list[int]:
@@ -633,6 +562,9 @@ def format_dag_text(g: Dag, label_base: int = 0) -> str:
 
 
 def load_dag_file(path) -> DagDocument:
-    """Read and parse a DAG text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dag_text(fh.read())
+    """Read and parse a DAG text file, UTF-8 with an optional BOM; an error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse_dag_text(fh.read())
+    except (UnicodeDecodeError, DagTextError) as err:
+        raise DagTextError(f"{path}: {err}") from None

@@ -87,11 +87,13 @@ class ExperimentConfig:
                 object.__setattr__(self, key, _as_tuple(key, value, kind[0]))
             elif kind is int:
                 try:
-                    object.__setattr__(self, key, operator.index(value))
+                    object.__setattr__(self, key, _convert(int, value))
                 except TypeError:
                     raise ValueError(f"{key} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise ValueError(f"trial count must be positive, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         for a in self.alpha_list:
             try:
                 TestConfig(alpha=a)
@@ -116,12 +118,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; pick from {MODES}")
 
 
+def _convert(kind, value):
+    """value as kind; a bool is not a value of any kind, and int takes only integers."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value) if kind is int else kind(value)
+
+
 def _as_tuple(key: str, values, kind) -> tuple:
     """values as a nonempty tuple of kind; a scalar, a string, a bad member
     or no member at all raises naming key."""
     try:
         if not isinstance(values, str):
-            out = tuple(kind(v) for v in values)
+            out = tuple(_convert(kind, v) for v in values)
             if out:
                 return out
     except (TypeError, ValueError):
@@ -220,8 +229,12 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def config_from_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
+    """Read a config file, UTF-8 with an optional BOM; an error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return config_from_text(fh.read())
+    except ValueError as err:  # a UnicodeDecodeError is one too
+        raise ValueError(f"{path}: {err}") from None
 
 
 def grid_cells(cfg: ExperimentConfig) -> tuple:

@@ -485,8 +485,11 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
     Every data row must have the header's width, and a NaN or infinite
     entry is rejected with its 1-based data row and its column name.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = [line for line in fh if line.replace(",", "").strip()]
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            lines = [line for line in fh if line.replace(",", "").strip()]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not lines:
         raise ValueError(f"{path}: empty {what} file")
     first = [f.strip() for f in next(csv.reader(lines[:1]))]

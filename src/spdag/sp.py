@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .exceptions import CapacityError
-from .graph import Dag, EquivClassPattern, _bits, as_permutation, pattern_of
+from .graph import Dag, EquivClassPattern, _bits, pattern_of
 from .oracle import (
     CachingBackend,
     CiBackend,
@@ -144,9 +144,12 @@ def build_dag_for_permutation(pi, ci: CiBackend) -> Dag:
     Scanning pi left to right, each earlier vertex j points at the
     current vertex k exactly when the backend reports dependence given
     the remaining prefix {earlier vertices} minus {j}.  All edges follow
-    the order, so the result is acyclic by construction.
+    the order, so the result is acyclic by construction.  pi is any
+    sequence; one that is not a permutation of 0..p-1 raises ValueError.
     """
-    order = as_permutation(pi, ci.p).order
+    order = tuple(int(v) for v in pi)
+    if sorted(order) != list(range(ci.p)):
+        raise ValueError(f"not a permutation of 0..{ci.p - 1}: {order}")
     edges = []
     for b in range(1, len(order)):
         k = order[b]

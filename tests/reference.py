@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from spdag.baselines import SepsetTable
 from spdag.exceptions import NumericalError
-from spdag.graph import Dag, EquivClassPattern, as_permutation
+from spdag.graph import Dag, EquivClassPattern
 from spdag.oracle import CovarianceMatrix
 from spdag.sp import CHOL_TOL
 
@@ -228,7 +228,7 @@ class CholeskyFactor:
 
     def edges_for(self, pi) -> frozenset:
         """Map masked entries (i, j), i<j, to edges pi(i) -> pi(j)."""
-        order = as_permutation(pi, len(self.D)).order
+        order = tuple(pi)
         rows, cols = np.nonzero(self.nonzero_mask)
         return frozenset((order[a], order[b]) for a, b in zip(rows, cols))
 
@@ -236,13 +236,12 @@ class CholeskyFactor:
 def permuted_precision(sigma, pi) -> CovarianceMatrix:
     """Invert the covariance and permute rows and columns by pi."""
     m = np.asarray(sigma, dtype=float)
-    order = as_permutation(pi, m.shape[0]).order
     try:
         k = cho_solve(cho_factor(m, lower=True), np.eye(m.shape[0]))
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"covariance failed to factor: {err}") from None
     k = (k + k.T) / 2.0
-    idx = np.asarray(order)
+    idx = np.asarray(pi)
     return CovarianceMatrix(k[np.ix_(idx, idx)])
 
 

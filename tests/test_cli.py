@@ -600,8 +600,14 @@ class TestSimulate:
         ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nn_list=\n", "n_list"),
         ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nmethods=\n", "methods"),
         ("grid.cfg", "p_list=4\nnbhd_list=1\nmode=oracle\nalpha_list=5e-324\n", "alpha_list"),
+        ("grid.json", '{"p_list": [4.7], "nbhd_list": [1]}', "p_list"),
+        ("grid.json", '{"p_list": [4], "nbhd_list": [1], "n_list": [100.9]}', "n_list"),
+        ("grid.json", '{"p_list": [4], "nbhd_list": [1], "trials": true}', "trials"),
+        ("grid.json", '{"p_list": [4], "nbhd_list": [true]}', "nbhd_list"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmaster_seed=-1\n", "master_seed"),
     ], ids=["empty-value", "bad-item", "scalar-list", "string-count", "nan-nbhd", "nan-nbhd-json",
-            "empty-alphas", "empty-ns", "empty-methods", "underflowing-alpha"])
+            "empty-alphas", "empty-ns", "empty-methods", "underflowing-alpha", "float-p",
+            "float-n", "bool-trials", "bool-nbhd", "negative-seed"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, name, text, key):
         cfg = tmp_path / name
         cfg.write_text(text)
@@ -609,7 +615,7 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "o")]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: ") and key in err
+        assert err.startswith(f"error: {cfg}: ") and key in err
         assert not (tmp_path / "o").exists()
 
 
@@ -679,6 +685,54 @@ class TestErrorSurface:
         assert main(["learn", "--backend", "dsep", "--input", "nope.txt",
                      "--out", "-"]) == 1
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["learn", "--backend", "dsep", "--input", "{g}"],
+        ["baseline", "--method", "pc", "--backend", "dsep", "--input", "{g}"],
+        ["check", "--assumption", "markov", "--graph", "{g}", "--backend", "dsep",
+         "--input", "{g}"],
+    ], ids=["learn", "baseline", "check"])
+    def test_graph_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys, command):
+        docs = []
+        for name, encoding in (("plain.txt", "utf-8"), ("bom.txt", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(format_dag_text(COLLIDER, label_base=1), encoding=encoding)
+            assert main([a.format(g=path) for a in command] + ["--out", "-"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["wall_time_ms"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("command, bad", [
+        (["learn", "--backend", "dsep", "--input", "{bad}"], b"p=4\n1 -> 2\xff\n"),
+        (["learn", "--backend", "fisher", "--input", "{bad}"], b"a,b\n1,2\n\xff,3\n"),
+        (["learn", "--backend", "gaussian", "--input", "{bad}"], b"1,0\n\xfe0,1\n"),
+        (["check", "--assumption", "markov", "--graph", "{bad}", "--backend", "dsep",
+          "--input", "{good}"], b"\xffp=4\n"),
+        (["simulate", "--config", "{bad}", "--out-dir", "{out}"], b"p_list=4\n\xff\n"),
+    ], ids=["learn-graph", "learn-samples", "learn-covariance", "check-graph", "simulate"])
+    def test_undecodable_input_names_its_file(self, collider_file, tmp_path, capsys,
+                                              command, bad):
+        path = tmp_path / "bad.in"
+        path.write_bytes(bad)
+        args = [a.format(bad=path, good=collider_file, out=tmp_path / "o") for a in command]
+        out = [] if command[0] == "simulate" else ["--out", str(tmp_path / "r.json")]
+        assert main(args + out) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and "can't decode byte" in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--graph", "--input"])
+    def test_check_names_the_bad_graph_file(self, collider_file, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("p=4\n1 -> 2\n1 => 3\n")
+        files = {"--graph": collider_file, "--input": collider_file, flag: bad}
+        assert main(["check", "--assumption", "markov", "--graph", str(files["--graph"]),
+                     "--backend", "dsep", "--input", str(files["--input"]),
+                     "--out", "-"]) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: line 3: expected edge 'j -> k', "
+                                           "got '1 => 3'\n")
 
     def test_nan_in_samples_names_row_and_column(self, tmp_path, capsys):
         rows = ["a,b,c"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]

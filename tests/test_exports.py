@@ -33,6 +33,12 @@ def test_the_per_ordering_factorization_is_not_exported():
         assert not hasattr(spdag, gone)
 
 
+def test_orderings_are_plain_tuples_not_a_class():
+    for gone in ("Permutation", "as_permutation", "consistent_order"):
+        assert not hasattr(spdag, gone)
+        assert not hasattr(importlib.import_module("spdag.graph"), gone)
+
+
 # the package re-exports its modules' lists in this order
 PACKAGE_ORDER = (
     "exceptions", "graph", "oracle", "sem", "sp", "baselines", "assumptions", "harness",

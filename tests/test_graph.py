@@ -24,9 +24,7 @@ from spdag.exceptions import CapacityError, DagTextError
 from spdag.graph import (
     CycleError,
     Dag,
-    Permutation,
     d_separated,
-    consistent_order,
     enumerate_all_dags,
     format_dag_text,
     markov_equivalent,
@@ -143,7 +141,7 @@ class TestMaskStorage:
                     assert h.adjacent(j, k) is ((j, k) in edges or (k, j) in edges)
         for e in edges:
             assert g.without_edge(*e) == Dag(p, [f for f in edges if f != e])
-        assert consistent_order(g).order == min(o.order for o in topological_orders(g))
+        assert next(topological_orders(g)) == min(topological_orders(g))
         assert parse_dag_text(format_dag_text(g)).dag == g
         sgs = orient_v_structures(*sgs_skeleton(dsep_backend(g)))
         assert sgs.v_structures == v_structures(g)
@@ -286,30 +284,31 @@ class TestPatterns:
 class TestOrders:
     def test_four_cycle_single_extension(self):
         # Frozen from brute force: the edge constraints pin the order.
-        orders = [perm.order for perm in topological_orders(FOUR_CYCLE)]
-        assert orders == [(0, 1, 2, 3)]
-        assert consistent_order(FOUR_CYCLE).order == (0, 1, 2, 3)
+        assert list(topological_orders(FOUR_CYCLE)) == [(0, 1, 2, 3)]
 
     def test_empty_graph_all_orders(self):
-        orders = [perm.order for perm in topological_orders(Dag(3))]
+        orders = list(topological_orders(Dag(3)))
         assert len(orders) == 6
         assert orders == sorted(orders)
+
+    def test_orders_are_tuples(self):
+        for order in topological_orders(Dag(3, [(2, 0)])):
+            assert type(order) is tuple
+            assert all(type(v) is int for v in order)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(40):
             g = random_dag(rng, 5, q=0.4)
-            got = [perm.order for perm in topological_orders(g)]
-            assert got == linear_extensions_brute(g)
-            assert consistent_order(g).order == got[0]
+            assert list(topological_orders(g)) == linear_extensions_brute(g)
 
     def test_orders_respect_edges(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             g = random_dag(rng, 6, q=0.5)
-            perm = consistent_order(g)
+            order = next(topological_orders(g))
             for j, k in g.edges:
-                assert perm.position(j) < perm.position(k)
+                assert order.index(j) < order.index(k)
 
     def test_order_reconstructs_graph(self):
         # Orienting the skeleton by any consistent order gives the
@@ -317,26 +316,15 @@ class TestOrders:
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = random_dag(rng, 5, q=0.6)
-            for perm in topological_orders(g):
+            for order in topological_orders(g):
                 rebuilt = Dag(
                     g.p,
                     [
-                        (a, b) if perm.position(a) < perm.position(b) else (b, a)
+                        (a, b) if order.index(a) < order.index(b) else (b, a)
                         for a, b in skeleton(g)
                     ],
                 )
                 assert rebuilt == g
-
-    def test_permutation_validation(self):
-        with pytest.raises(ValueError):
-            Permutation([0, 0, 1])
-        with pytest.raises(ValueError):
-            Permutation([1, 2, 3])
-        perm = Permutation([2, 0, 1])
-        assert perm.position(2) == 0
-        assert perm.inverse().order == (1, 2, 0)
-        assert list(perm) == [2, 0, 1]
-        assert Permutation.identity(3).order == (0, 1, 2)
 
 
 class TestEnumeration:

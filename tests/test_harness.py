@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from spdag import harness
@@ -60,6 +61,25 @@ class TestConfigValidation:
             small_config(mode="bootstrap")
         with pytest.raises(ValueError):
             small_config(n_list=(0,))
+
+    @pytest.mark.parametrize("key, value", [
+        ("p_list", (4.7,)), ("n_list", (100.9,)), ("p_list", (True,)), ("n_list", (False,)),
+        ("nbhd_list", (True,)), ("alpha_list", (True,)),
+        ("trials", 2.0), ("trials", True), ("master_seed", 1.5), ("master_seed", False),
+    ])
+    def test_integer_keys_take_integers_and_no_key_takes_a_bool(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            small_config(**{key: value})
+
+    def test_integer_keys_accept_numpy_integers(self):
+        cfg = small_config(p_list=(np.int64(4),), trials=np.int32(2), master_seed=np.uint8(3))
+        assert (cfg.p_list, cfg.trials, cfg.master_seed) == ((4,), 2, 3)
+        assert type(cfg.p_list[0]) is int
+
+    def test_master_seed_must_be_non_negative(self):
+        assert small_config(master_seed=0).master_seed == 0
+        with pytest.raises(ValueError, match="^master_seed must be non-negative, got -1$"):
+            small_config(master_seed=-1)
 
     def test_methods_canonicalized(self):
         cfg = small_config(methods=("pc", "sp", "pc"))
@@ -132,6 +152,15 @@ class TestConfigParsing:
         cfg = config_from_file(path)
         assert cfg.p_list == (5,)
         assert cfg.trials == 2
+
+    @pytest.mark.parametrize("text", [
+        "p_list=5\nnbhd_list=2\ntrials=2\n",
+        '{"p_list": [5], "nbhd_list": [2], "trials": 2}',
+    ], ids=["key-value", "json"])
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path, text):
+        path = tmp_path / "grid.cfg"
+        path.write_text(text, encoding="utf-8-sig")
+        assert config_from_file(path) == config_from_text(text)
 
 
 class TestGridCells:
