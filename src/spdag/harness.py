@@ -21,7 +21,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from typing import NamedTuple
 
@@ -197,16 +197,21 @@ class GridResult:
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a JSON config must be an object, got a {type(doc).__name__}")
     extra = set(doc) - set(_KEY_TYPES)
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
+    required = (f.name for f in fields(ExperimentConfig) if f.default is MISSING)
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
     return ExperimentConfig(**doc)
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    """Parse either a JSON object or key=value lines."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse either a JSON document, which must be an object, or key=value lines."""
+    if text.lstrip().startswith(("{", "[")):
         return config_from_json(json.loads(text))
     doc: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

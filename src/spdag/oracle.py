@@ -13,7 +13,9 @@ three answer sources implement it:
   zero independent, :func:`lambda_backend` does the same at a coarse
   level lambda, and :func:`fisher_z_backend` runs the z-transform test
   on sample data. On every rule a pair in a collinear subset counts as
-  dependent and is counted in ``collinear_warnings``.
+  dependent and is counted in ``collinear_warnings``. For the ordering
+  search it builds a flat table of every step's parent mask from the
+  same inverses, a subset size at a time, by the same rule and bits.
 
 All backends are deterministic and symmetric in the queried pair.
 :func:`caching_wrapper` memoizes any of them on canonicalized queries.
@@ -25,7 +27,7 @@ import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from statistics import NormalDist
 from typing import Iterable, Iterator
 
@@ -247,23 +249,29 @@ class _SubsetTable(dict):
         self[mask] = inv
         return inv
 
-    def column(self, mask: int, k: int):
-        """For T = mask + {k}: (j, K_jk, K_jj, K_kk) for each j in mask, j ascending.
+    def parent_table(self, rule) -> list:
+        """Every step's parent mask, at index T*p + k for each k in T.
 
-        The one reader of a column: an empty mask yields nothing and
-        factors nothing, and a collinear T yields NaN for every value.
+        For each size s >= 2 the inverses of all subsets T of that size
+        are stacked, a collinear one as all NaN, with K_jk read from the
+        upper triangle.  rule(inv, members), members holding each T's
+        vertices in ascending order, returns an s x s array that is true
+        where member j stays dependent on member k given the rest of T.
+        Column k becomes a vertex mask through the weights 1 << member.
+        K is still factored once per subset; an entry with |T| < 2 is 0.
         """
-        if not mask:
-            return ()
-        t = mask | 1 << k
-        inv = self[t]
-        if inv is None:
-            return ((j, math.nan, math.nan, math.nan) for j in _bits(mask))
-        b = _rank(t, k)
-        diag = inv.diagonal().tolist()
-        kkk = diag.pop(b)
-        col = inv[:b, b].tolist() + inv[b, b + 1 :].tolist()
-        return zip(_bits(mask), col, diag, repeat(kkk))
+        p = self._corr.shape[0]
+        table = np.zeros(p << p, dtype=np.int64)
+        for s in range(2, p + 1):
+            members = np.array(list(combinations(range(p), s)))
+            weights = 1 << members
+            masks = weights.sum(1)
+            nan = np.full((s, s), math.nan)
+            inv = np.stack([nan if i is None else i for i in map(self.__getitem__, masks.tolist())])
+            inv = np.where(np.triu(np.ones((s, s), bool)), inv, inv.swapaxes(1, 2))
+            dependent = rule(inv, members) & ~np.eye(s, dtype=bool)
+            table[masks[:, None] * p + members] = np.einsum("tjk,tj->tk", dependent, weights)
+        return table.tolist()
 
 
 def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
@@ -363,22 +371,32 @@ class PartialCorrelationBackend(CiBackend):
             return False
         return self._independent(t)
 
-    def parents(self, mask: int, k: int) -> int:
-        """The j in mask that stay dependent on k given mask minus {j}, as a vertex mask.
+    def parent_table(self) -> list:
+        """The search's flat table of parent masks, by the rule of is_independent."""
+        return self._table.parent_table(self._dependent)
 
-        Reads the column of mask + {k} through the table's one column
-        reader, which sp_search_cholesky shares, and answers, and records
-        collinear queries, as is_independent would.
+    def _dependent(self, inv, members):
+        """is_independent negated, for every pair of every stacked subset.
+
+        The same IEEE operations as the scalar path give the same bits;
+        the Fisher statistic takes math.atanh, as np.arctanh may differ
+        in the last place.  Collinear queries are recorded as there.
         """
-        size = mask.bit_count() - 1
-        found = 0
-        for j, kjk, kjj, kkk in self._table.column(mask, k):
-            t = self._rule(-kjk / math.sqrt(kjj * kkk), size)
-            if t == math.inf:
-                self._collinear.add((min(j, k), max(j, k), mask ^ 1 << j))
-            if t == math.inf or not self._independent(t):
-                found |= 1 << j
-        return found
+        d = inv.diagonal(0, 1, 2)
+        rho = -inv / np.sqrt(d[:, :, None] * d[:, None, :])
+        ok = np.abs(rho) < 1  # NaN fails too
+        if self._n is None:
+            independent = np.abs(rho) <= self._level
+        else:
+            z = np.zeros_like(rho)
+            z[ok] = list(map(math.atanh, rho[ok].tolist()))
+            size = members.shape[1] - 2
+            independent = math.sqrt(self._n - size - 3) * np.abs(z) < self._level
+        rows = members.tolist()
+        for t, a, b in np.argwhere(np.triu(~ok, 1)).tolist():
+            j, k = rows[t][a], rows[t][b]
+            self._collinear.add((j, k, sum(1 << v for v in rows[t]) ^ 1 << j ^ 1 << k))
+        return ~(ok & independent)
 
 
 class CachingBackend(CiBackend):

@@ -15,8 +15,10 @@ is the one with the least fill.  Column k of that factor holds the
 coefficients of regressing k on the vertices before it, which depend only
 on their set, so the same DP scores every ordering from one regression per
 (prefix set, vertex) without issuing conditional-independence queries; for
-an exact Gaussian oracle the two routes coincide.  Both give the DP a
-parent set as a vertex mask, read through one per-subset table reader.
+an exact Gaussian oracle the two routes coincide.  Both give the DP one
+flat table of parent sets as vertex masks, built a subset size at a
+time from the stacked inverses of a per-subset table that still factors
+each subset once.
 
 A dense model has many sparsest orderings (all p! for a complete DAG),
 so winners travel as int edge masks, bit j*p + k standing for the edge
@@ -165,13 +167,14 @@ def _sparsest(p: int, parents) -> SpResult:
     """Subset DP over ordering prefixes, returning every minimal DAG.
 
     In any ordering, vertex k's parents depend only on the set of
-    vertices before it, so parents(mask, k) scores appending k to the
-    prefix set mask and the minimum over all p! orderings is a DP over
-    the 2^p prefix sets (the exact order DP of Silander and Myllymaki).
-    parents returns a vertex mask, bit j for parent j, so a step's cost
-    is its popcount.  Every tying step is kept, as (k, that mask), the
-    previous prefix being the set without k; the prefixes lying on
-    an optimal ordering are then marked backwards from the full set.
+    vertices before it, so parents[T*p + k], for T that set plus k,
+    scores appending k to the prefix and the minimum over all p!
+    orderings is a DP over the 2^p prefix sets (the exact order DP of
+    Silander and Myllymaki).  Each entry is a vertex mask, bit j for
+    parent j, so a step's cost is its popcount.  Every tying step is
+    kept, as (k, that mask), the previous prefix being the set without
+    k; the prefixes lying on an optimal ordering are then marked
+    backwards from the full set.
     One forward walk over them, a prefix size at a time, builds the
     winners' edge masks, each extension a single OR, so a winner reached
     by many orderings is held once.  Each prefix maps class keys to the
@@ -192,8 +195,8 @@ def _sparsest(p: int, parents) -> SpResult:
         for k in range(p):
             if mask >> k & 1:
                 continue
-            found = parents(mask, k)
             nxt = mask | 1 << k
+            found = parents[nxt * p + k]
             count = best[mask] + found.bit_count()
             if count < best[nxt]:
                 best[nxt], steps[nxt] = count, []
@@ -245,24 +248,28 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
     The search is a DP over the 2^p prefix sets: appending k to the
     prefix set S costs the j in S that stay dependent on k given
     S minus {j}.  It returns every DAG that some optimal ordering
-    induces.  A partial-correlation backend, bare or cached, answers
-    each step with one column of its per-subset table; any other backend
-    gets the queries one at a time, and through a cache each distinct
-    query reaches it once.
+    induces.  A partial-correlation backend, bare or cached, builds the
+    DP's flat table of parent masks from its per-subset table, a subset
+    size at a time; any other backend fills that table through
+    is_independent, and through a cache each distinct query reaches it
+    once.
     """
     p = ci.p
     _check_cap(p, max_p)
     inner = ci.inner if isinstance(ci, CachingBackend) else ci
     if isinstance(inner, PartialCorrelationBackend):
-        return _sparsest(p, inner.parents)
+        return _sparsest(p, inner.parent_table())
     is_independent = ci.is_independent
-
-    def parents(mask: int, k: int) -> int:
-        return sum(
-            1 << j for j in _bits(mask) if not is_independent(j, k, tuple(_bits(mask ^ 1 << j)))
-        )
-
-    return _sparsest(p, parents)
+    table = [0] * (p << p)
+    for mask in range(1, 1 << p):
+        for k in range(p):
+            if not mask >> k & 1:
+                table[(mask | 1 << k) * p + k] = sum(
+                    1 << j
+                    for j in _bits(mask)
+                    if not is_independent(j, k, tuple(_bits(mask ^ 1 << j)))
+                )
+    return _sparsest(p, table)
 
 
 def sp_search_cholesky(
@@ -281,9 +288,10 @@ def sp_search_cholesky(
     coefficients on S above chol_tol.  They are read as -K_jk / K_kk
     from the inverse K of the correlation block over S + {k}, from the
     same kind of per-subset table the partial-correlation backend
-    keeps; working on the correlation matrix makes the tolerance
-    scale-free.  A collinear block reads as NaN, which fails the
-    comparison, so every coefficient counts.
+    keeps, which builds every step's mask a subset size at a time;
+    working on the correlation matrix makes the tolerance scale-free.
+    A collinear block reads as NaN, which fails the comparison, so
+    every coefficient counts.
     sigma is read as a CovarianceMatrix, as the query route's backends
     read it, so both routes reject the same matrices with one ValueError.
     """
@@ -293,9 +301,5 @@ def sp_search_cholesky(
     p = sigma.p
     _check_cap(p, max_p)
     table = _SubsetTable(_standardize(sigma))
-
-    def parents(mask: int, k: int) -> int:
-        col = table.column(mask, k)
-        return sum(1 << j for j, kjk, _, kkk in col if not abs(kjk) / kkk <= chol_tol)
-
-    return _sparsest(p, parents)
+    fill = lambda inv, _: ~(abs(inv) / inv.diagonal(0, 1, 2)[:, None, :] <= chol_tol)
+    return _sparsest(p, table.parent_table(fill))

@@ -605,9 +605,13 @@ class TestSimulate:
         ("grid.json", '{"p_list": [4], "nbhd_list": [1], "trials": true}', "trials"),
         ("grid.json", '{"p_list": [4], "nbhd_list": [true]}', "nbhd_list"),
         ("grid.cfg", "p_list=4\nnbhd_list=1\nmaster_seed=-1\n", "master_seed"),
+        ("grid.json", '{"p_list": [4]}', "missing config keys: ['nbhd_list']"),
+        ("grid.cfg", "p_list = 4", "missing config keys: ['nbhd_list']"),
+        ("grid.json", "[1,2]", "a JSON config must be an object, got a list"),
     ], ids=["empty-value", "bad-item", "scalar-list", "string-count", "nan-nbhd", "nan-nbhd-json",
             "empty-alphas", "empty-ns", "empty-methods", "underflowing-alpha", "float-p",
-            "float-n", "bool-trials", "bool-nbhd", "negative-seed"])
+            "float-n", "bool-trials", "bool-nbhd", "negative-seed", "missing-key-json",
+            "missing-key-text", "json-list"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, name, text, key):
         cfg = tmp_path / name
         cfg.write_text(text)

@@ -132,6 +132,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2: bad value for trials"):
             config_from_text("p_list=4\ntrials=two\nnbhd_list=1")
 
+    @pytest.mark.parametrize("text, missing", [
+        ("nbhd_list = 1", "['p_list']"),
+        ('{"trials": 2}', "['p_list', 'nbhd_list']"),
+    ])
+    def test_missing_required_keys_are_named(self, text, missing):
+        # sp simulate's tests cover a missing nbhd_list and a JSON list
+        with pytest.raises(ValueError) as err:
+            config_from_text(text)
+        assert str(err.value) == f"missing config keys: {missing}"
+
     @pytest.mark.parametrize("key", ["p_list", "nbhd_list", "n_list", "alpha_list", "methods"])
     def test_an_empty_list_is_rejected_by_name(self, key):
         text = f"p_list=4\nnbhd_list=1\n{key}=\n"

@@ -23,6 +23,7 @@ from spdag.graph import (
 )
 from spdag.oracle import (
     CovarianceMatrix,
+    PartialCorrelationBackend,
     TestConfig,
     caching_wrapper,
     dsep_backend,
@@ -31,9 +32,11 @@ from spdag.oracle import (
     gaussian_exact_backend,
     iter_triples,
     lambda_backend,
+    partial_correlation,
 )
 from spdag.sem import GenConfig, LinearSem, covariance_of, precision_of, random_sem, sample
 from spdag.sp import (
+    CHOL_TOL,
     SpResult,
     build_dag_for_permutation,
     sp_search,
@@ -361,9 +364,10 @@ class TestSubsetTable:
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7))
     def test_rows_match_the_query_path(self, seed, p):
-        # Random SPD matrices and samples in random units: reading columns
-        # of the per-subset table, bare or behind a cache, finds the parent
-        # masks the query path finds, and so does the Cholesky route.
+        # Random SPD matrices and samples in random units: the flat table of
+        # parent masks, and the search reading it bare or behind a cache,
+        # find the parent masks the query path finds, and so does the
+        # Cholesky route.
         rng = np.random.default_rng(seed)
         units = 10.0 ** rng.uniform(-3, 3, p)
         mix = np.where(rng.random((p, p)) < 0.4, rng.standard_normal((p, p)), 0.0)
@@ -379,7 +383,7 @@ class TestSubsetTable:
             lambda: gaussian_exact_backend(sigma),
         )
         for fresh in factories:
-            be, ref = fresh(), QueryOnly(fresh())
+            table, ref = fresh().parent_table(), QueryOnly(fresh())
             for mask in range(1, 2**p):
                 members = [v for v in range(p) if mask >> v & 1]
                 for k in set(range(p)) - set(members):
@@ -387,7 +391,7 @@ class TestSubsetTable:
                         1 << j for j in members
                         if not ref.is_independent(j, k, [v for v in members if v != j])
                     )
-                    assert be.parents(mask, k) == want
+                    assert table[(mask | 1 << k) * p + k] == want
             want = sp_search(QueryOnly(fresh()))
             for got in (sp_search(fresh()), sp_search(caching_wrapper(fresh()))):
                 assert got.min_edges == want.min_edges
@@ -400,18 +404,17 @@ class TestSubsetTable:
     def test_empty_prefix_and_collinear_subsets_read_alike_on_both_routes(self, monkeypatch):
         # Column 4 copies column 0 up to noise of 1e-6, so every subset
         # holding both is collinear and the moments stay positive definite,
-        # as the Cholesky route needs.  Both routes read parent masks through
-        # the table's one column reader: an empty prefix gives no parents
-        # and a collinear subset makes the whole prefix parents.  The
-        # threshold route counts each collinear query once, as the query
-        # path does.
+        # as the Cholesky route needs.  Both routes hand the search one flat
+        # table of parent masks: an empty prefix gives no parents and a
+        # collinear subset makes the whole prefix parents.  The threshold
+        # route counts each collinear query once, as the query path does.
         import spdag.sp as sp
 
         rng = np.random.default_rng(29)
         x = rng.standard_normal((200, 4))
         x = np.column_stack([x, x[:, 0] + 1e-6 * rng.standard_normal(200)])
         routes = []
-        monkeypatch.setattr(sp, "_sparsest", lambda p, parents: routes.append(parents))
+        monkeypatch.setattr(sp, "_sparsest", lambda p, table: routes.append(table))
         be, ref = fisher_z_backend(x, TestConfig(0.01)), fisher_z_backend(x, TestConfig(0.01))
         sp_search(be)
         sp_search_cholesky(x.T @ x / len(x))
@@ -419,7 +422,7 @@ class TestSubsetTable:
         for mask in range(2**5):
             members = [v for v in range(5) if mask >> v & 1]
             for k in set(range(5)) - set(members):
-                got = [parents(mask, k) for parents in routes]
+                got = [table[(mask | 1 << k) * 5 + k] for table in routes]
                 if not mask:
                     assert got == [0, 0]
                 elif (mask | 1 << k) & copies == copies:
@@ -428,6 +431,81 @@ class TestSubsetTable:
                     ref.is_independent(j, k, [v for v in members if v != j])
         # every pair of each of the 8 subsets holding both copies
         assert be.collinear_warnings == ref.collinear_warnings == 1 + 3 * 3 + 3 * 6 + 10
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7))
+    def test_every_table_entry_matches_the_scalar_rule(self, seed, p):
+        # The vectorized table against the scalar rules, entry by entry, for
+        # every subset T and every k in T.  The threshold backends read few
+        # rows in random units, so sqrt(n - |S| - 3) moves with |S|, and a
+        # near-copy of column 0 makes collinear subsets; each backend's
+        # table equals the query path's masks and records as many
+        # collinear queries.  The Cholesky route's table equals the fill
+        # of the reference factor of an ordering that puts T - {k} first,
+        # at the default tolerance on a model's covariance and at a coarse
+        # one on a dense matrix, where dividing by K_kk matters.
+        rng = np.random.default_rng(seed)
+        units = 10.0 ** rng.uniform(-3, 3, p)
+        mix = np.where(rng.random((p, p)) < 0.4, rng.standard_normal((p, p)), 0.0) + np.eye(p)
+        n = p + 4 + int(rng.integers(0, 20))
+        x = rng.standard_normal((n, p)) @ mix.T
+        x[:, -1] = x[:, 0] + 1e-6 * rng.standard_normal(n)
+        x *= units
+        moments = x.T @ x / n
+        factories = (
+            lambda: gaussian_exact_backend(moments),
+            lambda: lambda_backend(moments, 0.2),
+            lambda: fisher_z_backend(x, TestConfig(alpha=0.2)),
+        )
+        for fresh in factories:
+            be, ref = fresh(), fresh()
+            table = be.parent_table()
+            for t in range(2**p):
+                members = [v for v in range(p) if t >> v & 1]
+                for k in members:
+                    rest = [v for v in members if v != k]
+                    want = sum(
+                        1 << j for j in rest
+                        if not ref.is_independent(j, k, [v for v in rest if v != j])
+                    )
+                    assert table[t * p + k] == want
+            assert be.collinear_warnings == ref.collinear_warnings
+        sem = random_sem(GenConfig(p=p, expected_nbhd=min(2.0, p - 1)), rng)
+        sigma = np.asarray(covariance_of(sem)) * np.outer(units, units)
+        spd = mix @ mix.T * np.outer(units, units)
+        for cov, tol in ((sigma, CHOL_TOL), (spd, 0.2)):
+            scale = np.sqrt(np.diag(cov))
+            corr = cov / np.outer(scale, scale)
+            with mock.patch("spdag.sp._sparsest", lambda p, table: table):
+                table = sp_search_cholesky(cov, tol)
+            for t in range(2**p):
+                members = [v for v in range(p) if t >> v & 1]
+                for k in members:
+                    pi = [v for v in members if v != k] + [k]
+                    pi += [v for v in range(p) if v not in pi]
+                    factor = upper_cholesky(permuted_precision(corr, pi), chol_tol=tol)
+                    fill = factor.nonzero_mask[:, len(members) - 1]
+                    assert table[t * p + k] == sum(1 << pi[a] for a in np.flatnonzero(fill))
+
+    def test_a_fisher_tie_is_dependent_on_both_paths(self):
+        # The level equals one query's statistic, sqrt(n - |S| - 3) *
+        # |atanh(rho)| for (0, 2) given {1}: the test is strict, so the
+        # table and is_independent both call that pair dependent.  Where
+        # the platform's np.arctanh rounds that rho lower than math.atanh,
+        # the sample is picked so that a vectorized arctanh would fail.
+        n = 20
+        for seed in range(200):
+            x = np.random.default_rng(seed).standard_normal((n, 3))
+            moments = x.T @ x / n
+            rho = partial_correlation(moments, 0, 2, [1])
+            level = math.sqrt(n - 1 - 3) * abs(math.atanh(rho))
+            if math.sqrt(n - 1 - 3) * abs(float(np.arctanh(rho))) < level:
+                break
+        be = PartialCorrelationBackend(moments, level, n)
+        table = be.parent_table()
+        assert not be.is_independent(0, 2, [1])
+        assert table[0b111 * 3 + 2] >> 0 & 1 and table[0b111 * 3 + 0] >> 2 & 1
+        assert be.statistic(0, 2, [1]) == level
 
     def test_each_subset_is_factored_once(self):
         # SP inverts every subset of two or more vertices exactly once;
