@@ -32,7 +32,7 @@ ci = caching_wrapper(dsep_backend(collider))
 
 skel, sepsets = sgs_skeleton(ci)
 print("skeleton:", sorted(skel))
-print("separating set for (0,1):", set(sepsets.get(0, 1)))
+print("separating set for (0,1):", set(sepsets[0, 1]))
 print("pattern:", orient_v_structures(skel, sepsets))
 
 # The separating set is the whole story: 0 and 1 split marginally, so 2
@@ -74,7 +74,7 @@ skel, sepsets = sgs_skeleton(ci)
 print("\ncancelled-edge model:")
 print("  true skeleton:   ", sorted(skeleton(truth)))
 print("  learned skeleton:", sorted(skel))
-print("  witness for the deletion:", set(sepsets.get(0, 1)))
+print("  witness for the deletion:", set(sepsets[0, 1]))
 
 # The same queries drive the ordering search to the right answer: no
 # ordering can exploit the single cancelled triple without paying more

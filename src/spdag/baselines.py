@@ -3,16 +3,17 @@
 Two classical pipelines share the CiBackend interface: an exhaustive
 variant that considers every conditioning set for every pair, and a
 level-wise variant that only conditions on current neighbours.  Both
-produce an undirected skeleton plus the separating sets that justified
-each deletion; v-structure orientation turns that into an equivalence
-class pattern.
+return ``(edges, sepsets)``: the undirected skeleton as pairs (j, k)
+with j < k, and a plain dict from each deleted pair (j, k), j < k, to
+the frozenset that first separated it.  v-structure orientation turns
+the two into an equivalence class pattern.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .exceptions import CapacityError, MissingSepsetError
+from .exceptions import CapacityError
 from .graph import EquivClassPattern, _bits, _colliders
 from .oracle import CiBackend, _pair_subsets
 
@@ -20,55 +21,12 @@ SKELETON_CAP = 12
 
 __all__ = [
     "SKELETON_CAP",
-    "SepsetTable",
     "orient_v_structures",
     "pc_pattern",
     "pc_skeleton",
     "sgs_pattern",
     "sgs_skeleton",
 ]
-
-
-class SepsetTable:
-    """Separating sets recorded during skeleton search.
-
-    Keys are unordered vertex pairs; the value is the first conditioning
-    set that made the pair test independent.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self):
-        self._table = {}
-
-    @staticmethod
-    def _key(j: int, k: int) -> tuple[int, int]:
-        if j == k:
-            raise ValueError(f"a pair needs two distinct vertices, got {j}")
-        return (j, k) if j < k else (k, j)
-
-    def record(self, j: int, k: int, s) -> None:
-        self._table[self._key(j, k)] = frozenset(s)
-
-    def get(self, j: int, k: int) -> frozenset:
-        try:
-            return self._table[self._key(j, k)]
-        except KeyError:
-            raise MissingSepsetError(
-                f"no separating set was recorded for pair ({j}, {k})"
-            ) from None
-
-    def __contains__(self, pair) -> bool:
-        return self._key(*pair) in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def items(self):
-        return self._table.items()
-
-    def __repr__(self) -> str:
-        return f"SepsetTable({self._table!r})"
 
 
 def _check_cap(p: int) -> None:
@@ -89,13 +47,13 @@ def sgs_skeleton(ci: CiBackend):
     p = ci.p
     _check_cap(p)
     edges = set()
-    sepsets = SepsetTable()
+    sepsets = {}
     for j, k in combinations(range(p), 2):
         hit = next((s for s in _pair_subsets(p, j, k) if ci.is_independent(j, k, s)), None)
         if hit is None:
             edges.add((j, k))
         else:
-            sepsets.record(j, k, hit)
+            sepsets[j, k] = frozenset(hit)
     return frozenset(edges), sepsets
 
 
@@ -111,7 +69,7 @@ def pc_skeleton(ci: CiBackend):
     _check_cap(p)
     full = (1 << p) - 1
     adj = [full ^ 1 << v for v in range(p)]  # vertex masks
-    sepsets = SepsetTable()
+    sepsets = {}
     level = 0
     while any(a.bit_count() > level for a in adj):
         for j in range(p):
@@ -121,20 +79,20 @@ def pc_skeleton(ci: CiBackend):
                     if ci.is_independent(j, k, s):
                         adj[j] ^= 1 << k
                         adj[k] ^= 1 << j
-                        sepsets.record(j, k, s)
+                        sepsets[min(j, k), max(j, k)] = frozenset(s)
                         break
         level += 1
     edges = frozenset((j, k) for j in range(p) for k in _bits(adj[j] & -(2 << j)))
     return edges, sepsets
 
 
-def orient_v_structures(skeleton, sepsets: SepsetTable) -> EquivClassPattern:
+def orient_v_structures(skeleton, sepsets: dict) -> EquivClassPattern:
     """Mark colliders on unshielded triples.
 
     For each path j - l - k with {j,k} non-adjacent, the triple becomes
-    a v-structure exactly when l is absent from the recorded separating
-    set of (j, k).  A non-adjacent triple pair without a recorded set is
-    a caller error and raises.
+    a v-structure exactly when l is absent from ``sepsets[j, k]``, the
+    separating set of the pair with j < k.  A non-adjacent triple pair
+    without a recorded set is a caller error and raises ``KeyError``.
     """
     edges = frozenset(tuple(sorted(e)) for e in skeleton)
     adj = [0] * (1 + max((k for _, k in edges), default=-1))
@@ -145,7 +103,7 @@ def orient_v_structures(skeleton, sepsets: SepsetTable) -> EquivClassPattern:
         (j, mid, k)
         for j, k, common in _colliders(adj, adj)
         for mid in _bits(common)
-        if mid not in sepsets.get(j, k)
+        if mid not in sepsets[j, k]
     )
     return EquivClassPattern(skeleton=edges, v_structures=vees)
 

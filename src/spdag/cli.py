@@ -38,6 +38,9 @@ from .sp import PERMUTATION_CAP, CHOL_TOL, sp_search, sp_search_cholesky
 from .harness import config_from_file, run_grid, write_outputs
 
 BACKENDS = ("dsep", "gaussian", "fisher", "lambda", "cholesky")
+# the largest --max-p: the search's tables grow as 2^p, and past this
+# they outgrow a desk machine's memory
+MAX_P_CEILING = 16
 
 ASSUMPTIONS = {
     "markov": assumptions.check_markov,
@@ -276,6 +279,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _max_p(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_P_CEILING:
+        raise argparse.ArgumentTypeError(f"{value} is above the ceiling of {MAX_P_CEILING}")
+    return value
+
+
 def _add_backend_args(sub, *, with_cholesky):
     choices = BACKENDS if with_cholesky else tuple(b for b in BACKENDS if b != "cholesky")
     sub.add_argument("--backend", required=True, choices=choices)
@@ -308,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = subs.add_parser("learn", help="search all orderings for the sparsest DAGs")
     _add_backend_args(learn, with_cholesky=True)
-    learn.add_argument("--max-p", type=int, default=PERMUTATION_CAP)
+    learn.add_argument("--max-p", type=_max_p, default=PERMUTATION_CAP,
+                       help=f"ordering cap, at most {MAX_P_CEILING}")
     # accepted so existing scripts keep working; the search runs in one
     # process, and simulate --threads parallelizes across trials instead
     learn.add_argument("--threads", type=int, default=1, help="ignored")

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["CapacityError", "DagTextError", "MissingSepsetError", "NumericalError"]
+__all__ = ["CapacityError", "DagTextError", "NumericalError"]
 
 
 class CapacityError(RuntimeError):
@@ -29,6 +29,3 @@ class DagTextError(ValueError):
         super().__init__(message)
         self.line_no = line_no
 
-
-class MissingSepsetError(LookupError):
-    """Raised when orientation needs a separating set that was never recorded."""

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 6
+# the largest p a graph file may declare; every search is capped far below it
+GRAPH_TEXT_CAP = 64
 
 
 class CycleError(ValueError):
@@ -86,24 +88,6 @@ def _transpose(p: int, mask: int) -> int:
     for shift, diag in _diagonals(p):
         out |= (mask & diag) << shift | mask >> shift & diag
     return out
-
-
-def _unpeeled(child_masks: Sequence[int]) -> int:
-    """Vertices left after repeatedly removing sinks: 0 exactly when acyclic.
-
-    What is left lies on a directed cycle or leads into one.
-    """
-    left = (1 << len(child_masks)) - 1
-    while left:
-        sinks = 0
-        for v, children in enumerate(child_masks):
-            if not children & left:
-                sinks |= 1 << v
-        sinks &= left
-        if not sinks:
-            return left
-        left ^= sinks
-    return 0
 
 
 def _colliders(child_masks: Sequence[int], adj_masks: Sequence[int]) -> tuple:
@@ -154,19 +138,18 @@ class Dag:
         if p < 0:
             raise ValueError(f"vertex count must be nonnegative, got {p}")
         mask = 0
+        reach = [0] * p
         for j, k in edges:
             j, k = int(j), int(k)
             if not (0 <= j < p and 0 <= k < p):
                 raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
             if j == k:
                 raise CycleError(f"self loop at vertex {j}")
+            if reach[k] >> j & 1:
+                raise CycleError(f"edge ({j}, {k}) closes a directed cycle")
             mask |= 1 << (j * p + k)
+            reach = _reach_with(reach, j, k)
         self._fill(p, mask)
-        stuck = _unpeeled(self._child_masks)
-        if stuck:
-            raise CycleError(
-                f"edge set contains a directed cycle through {list(_bits(stuck))}"
-            )
 
     def _fill(self, p: int, mask: int) -> None:
         self._p = p
@@ -500,9 +483,9 @@ def parse_dag_text(text: str) -> DagDocument:
     0-based or 1-based; the base is inferred (a 0 label forces 0-based, a
     label equal to p forces 1-based, otherwise 0-based is assumed) and
     reported in the returned document so output can echo the input
-    convention. Out-of-range labels, self loops, duplicate edges and
-    edges that close a directed cycle are rejected with the offending
-    line number.
+    convention. A header above GRAPH_TEXT_CAP, out-of-range labels, self
+    loops, duplicate edges and edges that close a directed cycle are
+    rejected with the offending line number.
     """
     p = None
     raw_edges: list[tuple[int, int, int]] = []
@@ -516,6 +499,10 @@ def parse_dag_text(text: str) -> DagDocument:
                     f"expected header 'p=<int>', got {line.strip()!r}", line_no
                 )
             p = int(m.group(1))
+            if p > GRAPH_TEXT_CAP:
+                raise DagTextError(
+                    f"p={p} exceeds the graph file cap of {GRAPH_TEXT_CAP} vertices", line_no
+                )
             continue
         m = _EDGE_RE.match(line)
         if not m:

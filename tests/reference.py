@@ -17,7 +17,6 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from spdag.baselines import SepsetTable
 from spdag.exceptions import NumericalError
 from spdag.graph import Dag, EquivClassPattern
 from spdag.oracle import CovarianceMatrix
@@ -109,7 +108,7 @@ def pc_skeleton_by_sets(ci):
     """
     p = ci.p
     adj = {v: set(range(p)) - {v} for v in range(p)}
-    sepsets = SepsetTable()
+    sepsets = {}
     level = 0
     while True:
         any_big_enough = False
@@ -125,7 +124,7 @@ def pc_skeleton_by_sets(ci):
                     if ci.is_independent(j, k, s):
                         adj[j].discard(k)
                         adj[k].discard(j)
-                        sepsets.record(j, k, s)
+                        sepsets[min(j, k), max(j, k)] = frozenset(s)
                         break
         if not any_big_enough:
             break

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdag.baselines import (
-    SepsetTable,
     orient_v_structures,
     pc_pattern,
     pc_skeleton,
     sgs_pattern,
     sgs_skeleton,
 )
-from spdag.exceptions import CapacityError, MissingSepsetError
+from spdag.exceptions import CapacityError
 from spdag.graph import Dag, pattern_of, skeleton
 from spdag.oracle import dsep_backend, explicit_backend, iter_triples
 from spdag.sp import build_dag_for_permutation
@@ -53,33 +52,17 @@ class QueryLog:
         return self._ci.is_independent(j, k, s)
 
 
-class TestSepsetTable:
-    def test_round_trip_and_symmetry(self):
-        t = SepsetTable()
-        t.record(3, 1, [0, 2])
-        assert t.get(1, 3) == frozenset({0, 2})
-        assert (3, 1) in t and (1, 3) in t
-        assert len(t) == 1
-
-    def test_missing_pair_raises(self):
-        t = SepsetTable()
-        with pytest.raises(MissingSepsetError):
-            t.get(0, 1)
-        with pytest.raises(ValueError):
-            t.record(2, 2, [])
-
-
 class TestSgsSkeleton:
     def test_chain_recovery(self):
         sk, t = sgs_skeleton(dsep_backend(CHAIN3))
         assert sk == frozenset({(0, 1), (1, 2)})
-        assert t.get(0, 2) == frozenset({1})
+        assert t[0, 2] == frozenset({1})
 
     def test_cancellation_deletes_a_true_edge(self):
         # the unfaithful independence 0 _||_ 1 | {3} kills the 0-1 edge
         sk, t = sgs_skeleton(edge_cancellation_backend())
         assert sk == frozenset({(0, 3), (1, 2), (2, 3)})
-        assert t.get(0, 1) == frozenset({3})
+        assert t[0, 1] == frozenset({3})
         assert sk != skeleton(FOUR_CYCLE)
 
     def test_missed_independence_keeps_the_skeleton(self):
@@ -158,33 +141,55 @@ class TestPcSkeleton:
         got_edges, got_sets = pc_skeleton(got)
         want_edges, want_sets = pc_skeleton_by_sets(want)
         assert got_edges == want_edges
-        assert dict(got_sets.items()) == dict(want_sets.items())
+        assert got_sets == want_sets
         assert got.queries == want.queries
+
+
+class TestSepsets:
+    @pytest.mark.parametrize("skeleton_of", [sgs_skeleton, pc_skeleton])
+    def test_a_plain_dict_keyed_by_low_high_pairs(self, skeleton_of):
+        backends = random_explicit_backends(15, 10, p=5) + [
+            dsep_backend(g) for g in random_dag_pool(16, 10, p_values=(4, 5))
+        ]
+        for ci in backends:
+            edges, sepsets = skeleton_of(ci)
+            assert type(sepsets) is dict
+            assert all(j < k for j, k in sepsets)
+            assert all(type(s) is frozenset for s in sepsets.values())
+            # every pair is either kept or has its witness, never both
+            assert sepsets.keys() | edges == set(combinations(range(ci.p), 2))
+            assert not sepsets.keys() & edges
+
+    def test_pc_keys_a_pair_separated_from_its_high_end_low_high(self):
+        # 0 _||_ 3 drops 0-3 at level 0, so at level 1 the pool of 0 is
+        # {1, 2} and only the pool of 2 holds the witness {3}
+        log = QueryLog(explicit_backend(4, [(0, 3, frozenset()), (0, 2, frozenset({3}))]))
+        edges, sepsets = pc_skeleton(log)
+        assert (2, 0, (3,)) in log.queries
+        assert (0, 2, (3,)) not in log.queries
+        assert sepsets == {(0, 3): frozenset(), (0, 2): frozenset({3})}
+        assert edges == {(0, 1), (1, 2), (1, 3), (2, 3)}
 
 
 class TestOrientation:
     def test_collider_marked(self):
-        t = SepsetTable()
-        t.record(0, 1, [])
-        pat = orient_v_structures({(0, 2), (1, 2)}, t)
+        pat = orient_v_structures({(0, 2), (1, 2)}, {(0, 1): frozenset()})
         assert pat.v_structures == frozenset({(0, 2, 1)})
 
     def test_chain_not_marked(self):
-        t = SepsetTable()
-        t.record(0, 2, [1])
-        pat = orient_v_structures({(0, 1), (1, 2)}, t)
+        pat = orient_v_structures({(0, 1), (1, 2)}, {(0, 2): frozenset({1})})
         assert pat.v_structures == frozenset()
 
     def test_missing_sepset_raises(self):
-        with pytest.raises(MissingSepsetError):
-            orient_v_structures({(0, 2), (1, 2)}, SepsetTable())
+        with pytest.raises(KeyError):
+            orient_v_structures({(0, 2), (1, 2)}, {})
 
     def test_faithful_cycle_pipeline(self):
         assert sgs_pattern(dsep_backend(FOUR_CYCLE)) == pattern_of(FOUR_CYCLE)
 
     def test_shielded_triples_ignored(self):
         # triangle: no unshielded triple, nothing to orient, no lookup
-        pat = orient_v_structures({(0, 1), (1, 2), (0, 2)}, SepsetTable())
+        pat = orient_v_structures({(0, 1), (1, 2), (0, 2)}, {})
         assert pat.v_structures == frozenset()
 
 

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from functools import lru_cache
@@ -684,6 +685,57 @@ class TestErrorSurface:
                      "--out", "-"]) == 1
         err = capsys.readouterr().err
         assert "cycle" in err and "line 3" in err
+
+    @pytest.mark.parametrize("p", [65, 99999999999])
+    @pytest.mark.parametrize("command", [
+        ["learn", "--backend", "dsep", "--input", "{g}"],
+        ["baseline", "--method", "pc", "--backend", "dsep", "--input", "{g}"],
+        ["check", "--assumption", "markov", "--graph", "{g}", "--backend", "dsep",
+         "--input", "{good}"],
+        ["check", "--assumption", "markov", "--graph", "{good}", "--backend", "dsep",
+         "--input", "{g}"],
+    ], ids=["learn", "baseline", "check-graph", "check-input"])
+    def test_graph_header_over_the_cap_fails_at_once(self, collider_file, tmp_path, capsys,
+                                                     command, p):
+        # sizing a list by a header of 10^11 vertices would run out of memory
+        big = tmp_path / "big.txt"
+        big.write_text(f"p={p}\n0 -> 1\n")
+        t0 = time.perf_counter()
+        code = main([a.format(g=big, good=collider_file) for a in command] + ["--out", "-"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {big}: line 1: p={p} exceeds the graph file cap of 64 vertices\n")
+
+    def test_graph_header_at_the_cap_is_read(self, tmp_path, capsys):
+        # 64 vertices parse, and the search's own cap then names --max-p
+        big = tmp_path / "big.txt"
+        big.write_text("p=64\n" + "".join(f"{j} -> {j + 1}\n" for j in range(63)))
+        assert main(["learn", "--backend", "dsep", "--input", str(big), "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: p=64 exceeds the cap of 9 vertices") and "--max-p" in err
+
+    @pytest.mark.parametrize("value", ["17", "30", "1000000"])
+    def test_max_p_above_the_ceiling_is_a_usage_error(self, collider_file, capsys, value):
+        # at 30 the search's tables would need hundreds of GiB
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--backend", "dsep", "--input", str(collider_file),
+                  "--max-p", value, "--out", "-"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --max-p: {value} is above the ceiling of 16" in err
+
+    def test_max_p_at_the_ceiling_is_accepted(self, collider_file, capsys):
+        assert main(["learn", "--backend", "dsep", "--input", str(collider_file),
+                     "--max-p", "16", "--out", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_edges"] == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--backend", "dsep", "--input", str(collider_file),
+                  "--max-p", "many", "--out", "-"])
+        assert exc.value.code == 2
+        assert "argument --max-p: invalid int value: 'many'" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["learn", "--backend", "dsep", "--input", "nope.txt",

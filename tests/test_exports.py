@@ -39,6 +39,14 @@ def test_orderings_are_plain_tuples_not_a_class():
         assert not hasattr(importlib.import_module("spdag.graph"), gone)
 
 
+def test_separating_sets_are_a_plain_dict_not_a_class():
+    for gone in ("SepsetTable", "MissingSepsetError"):
+        assert gone not in spdag.__all__
+        assert not hasattr(spdag, gone)
+    assert not hasattr(importlib.import_module("spdag.baselines"), "SepsetTable")
+    assert not hasattr(importlib.import_module("spdag.exceptions"), "MissingSepsetError")
+
+
 # the package re-exports its modules' lists in this order
 PACKAGE_ORDER = (
     "exceptions", "graph", "oracle", "sem", "sp", "baselines", "assumptions", "harness",

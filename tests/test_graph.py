@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from spdag.baselines import orient_v_structures, sgs_skeleton
 from spdag.exceptions import CapacityError, DagTextError
 from spdag.graph import (
+    GRAPH_TEXT_CAP,
     CycleError,
     Dag,
     d_separated,
@@ -90,6 +91,22 @@ class TestConstruction:
             Dag(2, [(0, 1), (1, 0)])
         with pytest.raises(CycleError, match="self loop at vertex 1"):
             Dag(3, [(1, 1)])
+        with pytest.raises(CycleError, match=r"^edge \(2, 0\) closes a directed cycle$"):
+            Dag(3, [(0, 1), (1, 2), (2, 0)])
+
+    @given(
+        p=st.integers(1, 6),
+        pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_cycle_check_agrees_with_networkx_in_any_edge_order(self, p, pairs):
+        edges = [(j % p, k % p) for j, k in pairs if j % p != k % p]
+        nxg = nx.DiGraph(edges)
+        if nx.is_directed_acyclic_graph(nxg):
+            assert Dag(p, edges).edges == set(edges)
+        else:
+            with pytest.raises(CycleError):
+                Dag(p, edges)
 
     def test_equality_and_hash(self):
         a = Dag(3, [(0, 1)])
@@ -376,6 +393,13 @@ class TestTextFormat:
             parse_dag_text("0 -> 1\n")
         with pytest.raises(DagTextError):
             parse_dag_text("")
+
+    def test_header_over_the_cap_is_refused_before_the_edges(self):
+        assert parse_dag_text("p=64\n").dag.p == GRAPH_TEXT_CAP == 64
+        # the edge lines after it are malformed and never read
+        with pytest.raises(DagTextError, match=r"^line 2: p=65 exceeds the graph file cap") as err:
+            parse_dag_text("\np=65\nnot an edge\n")
+        assert err.value.line_no == 2
 
     def test_bad_edge_line(self):
         with pytest.raises(DagTextError) as err:

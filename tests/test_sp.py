@@ -178,9 +178,9 @@ class TestSpSearch:
     )
     def test_dp_classes_match_the_checked_constructor(self, p, route, share, seed):
         # The search groups winners by class during its forward walk and
-        # trusts them: pattern_of runs once per class and no winner is
-        # peeled. The checked constructor, which classes every winner's
-        # Dag with pattern_of, is the oracle.
+        # trusts them: pattern_of runs once per class and no winner goes
+        # through the cycle check. The checked constructor, which classes
+        # every winner's Dag with pattern_of, is the oracle.
         rng = np.random.default_rng(seed)
         if p > 1:
             sigma = covariance_of(random_sem(GenConfig(p, share * (p - 1)), rng))
@@ -193,9 +193,9 @@ class TestSpSearch:
                 random_explicit_backends(seed, 1, p=p, density=share * 0.9)[0]),
             "cholesky": lambda: sp_search_cholesky(sigma),
         }[route]
-        peel = mock.Mock(side_effect=AssertionError("the search peeled a winner"))
+        check = mock.Mock(side_effect=AssertionError("the search cycle-checked a winner"))
         with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy, \
-                mock.patch("spdag.graph._unpeeled", peel):
+                mock.patch("spdag.graph._reach_with", check):
             r = search()
         assert spy.call_count == len(r.classes)
         # the checked constructor also rejects cycles and unequal edge counts
