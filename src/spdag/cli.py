@@ -25,6 +25,7 @@ from .baselines import pc_pattern, sgs_pattern
 from .exceptions import CapacityError, NumericalError
 from .graph import Dag, EquivClassPattern, _bits, load_dag_file
 from .oracle import (
+    MAX_P_CEILING,
     TestConfig,
     caching_wrapper,
     dsep_backend,
@@ -38,9 +39,6 @@ from .sp import PERMUTATION_CAP, CHOL_TOL, sp_search, sp_search_cholesky
 from .harness import config_from_file, run_grid, write_outputs
 
 BACKENDS = ("dsep", "gaussian", "fisher", "lambda", "cholesky")
-# the largest --max-p: the search's tables grow as 2^p, and past this
-# they outgrow a desk machine's memory
-MAX_P_CEILING = 16
 
 ASSUMPTIONS = {
     "markov": assumptions.check_markov,
@@ -198,7 +196,7 @@ def cmd_learn(args) -> int:
         tol = args.tol if args.tol is not None else CHOL_TOL
         result = sp_search_cholesky(built, chol_tol=tol, max_p=args.max_p)
     else:
-        result = sp_search(caching_wrapper(built), max_p=args.max_p)
+        result = sp_search(built, max_p=args.max_p)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     # only the partial-correlation backends count collinear queries
     collinear = getattr(built, "collinear_warnings", 0)

@@ -20,7 +20,6 @@ import json
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from typing import NamedTuple
@@ -347,6 +346,8 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> GridResult:
     if workers <= 1:
         batches = [run_trial(*task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_trial, *zip(*tasks)))
     return GridResult(config=cfg, records=tuple(r for batch in batches for r in batch))

@@ -7,8 +7,9 @@ three answer sources implement it:
 * :func:`dsep_backend` answers from a known graph via d-separation,
 * :func:`explicit_backend` answers from a hand-listed set of triples,
 * :class:`PartialCorrelationBackend` thresholds a partial correlation of
-  a second-moment matrix, read from a lazily filled table that holds one
-  inverse per vertex subset. Its factories fix the rule:
+  a second-moment matrix, read from a table that holds one inverse per
+  vertex subset, built with numpy alone by bordering a whole subset size
+  at a time on first use. Its factories fix the rule:
   :func:`gaussian_exact_backend` calls |rho| at or below a numerical
   zero independent, :func:`lambda_backend` does the same at a coarse
   level lambda, and :func:`fisher_z_backend` runs the z-transform test
@@ -27,17 +28,20 @@ import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from statistics import NormalDist
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import NumericalError
 from .graph import Dag, _bits, _canonical_query, _d_separated
 
 COLLINEAR_TOL = 1e-10
+# the most vertices a search takes (the largest sp learn --max-p): its
+# tables grow as 2^p, and past this they outgrow a desk machine's memory
+MAX_P_CEILING = 16
 
 __all__ = [
     "CiBackend",
@@ -215,62 +219,124 @@ def _rank(mask: int, v: int) -> int:
     return (mask & ((1 << v) - 1)).bit_count()
 
 
-class _SubsetTable(dict):
-    """The inverse K = corr[T, T]^-1 for each vertex subset T, on first use.
+@cache
+def _layout(p: int) -> tuple:
+    """The subset table's index arrays for p <= MAX_P_CEILING, shared read-only.
 
-    Keyed by bitmask; each subset is factored once for the table's
-    lifetime. K comes from one dpotrf and one dpotrs against the
-    identity, not dpotri: with OpenBLAS on more than one thread, a fresh
-    process stalled in its first dpotri calls for about a second. Readers
-    take K_jk from the upper triangle only, so both orders of a pair read
-    one value.
+    Subsets of one size are numbered in mask order. members[s][i] holds
+    the i-th smallest member of each subset of size s, parents[s] the
+    number of each one less its largest member, and row[mask] a subset's
+    number within its size.
+    """
+    every = np.arange(1 << p)
+    bits = (every[:, None] >> np.arange(p) & 1).astype(bool)
+    sizes = bits.sum(1)
+    row = np.zeros(1 << p, dtype=np.intp)
+    members, parents = [], []
+    for s in range(p + 1):
+        chosen = every[sizes == s]
+        row[chosen] = np.arange(len(chosen))
+        members.append(np.nonzero(bits[chosen])[1].reshape(len(chosen), s).T.copy())
+        parents.append(row[chosen ^ 1 << members[s][-1]] if s else None)
+    for a in members + parents[1:]:
+        a.setflags(write=False)
+    return members, parents, tuple(row.tolist())
 
-    The entry is None when T is collinear: the factorization fails or
-    some member's conditional variance given the rest of T, 1/K_ii,
-    falls below COLLINEAR_TOL. The rule looks at every member alike, so
-    it does not depend on how the variables are labeled.
+
+def _border(inv, corr: np.ndarray, rest: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The inverse over each T = R + {v} from the inverse K_R over R.
+
+    Stacks run along the last axis: inv[:, :, t] is the t-th K_R, rest[:, t]
+    its members and v[t] the new member, above them all. With b = corr[R, v],
+    u = K_R b and c = corr_vv - b.u, K_T is [[K_R + u u^T / c, -u / c],
+    [-u^T / c, 1 / c]]. The sums run member by member in elementwise
+    operations, so a subset gets the same bits however many are stacked.
+    A collinear K_T is all NaN: some member's conditional variance given
+    the rest of T, 1/K_ii, is below COLLINEAR_TOL. The rule treats every
+    member alike, so labels do not matter, and a NaN K_R spreads to K_T.
+    """
+    m, n = rest.shape
+    b = corr[rest, v]
+    u = np.zeros((m, n))
+    dot = np.zeros(n)
+    for i in range(m):
+        u += inv[:, i] * b[i]
+    for i in range(m):
+        dot += b[i] * u[i]
+    c = corr[v, v] - dot
+    out = np.empty((m + 1, m + 1, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[:m, :m] = inv + u[:, None] * u / c
+        out[m, :m] = out[:m, m] = -u / c
+        out[m, m] = 1 / c
+        tol = out.diagonal() * COLLINEAR_TOL
+        out[:, :, ~((0 < tol) & (tol <= 1)).all(1)] = math.nan  # NaN fails too
+    return out
+
+
+class _SubsetTable:
+    """The inverse K = corr[T, T]^-1 of each vertex subset T, built by bordering.
+
+    Up to MAX_P_CEILING vertices, the first ask for a subset of size s
+    inverts every subset of that size from those of size s - 1, and the
+    s x s x C(p, s) stack is kept, numbered as in _layout. Above it a
+    2^p index would not fit, so each asked subset is bordered on its own,
+    to the same bits. Every K is exactly symmetric, as a border step adds
+    (u_i u_j) / c to K_ij and K_ji alike.
     """
 
     def __init__(self, corr: np.ndarray):
-        super().__init__()
+        p = corr.shape[0]
         self._corr = corr
-        self._eye = [np.eye(n) for n in range(corr.shape[0] + 1)]
+        self._layout = _layout(p) if p <= MAX_P_CEILING else None
+        self._levels = [np.ones((0, 0, 1))]  # the empty set's K, 0 x 0
+        self._single: dict = {}
 
-    def __missing__(self, mask: int) -> np.ndarray | None:
-        members = tuple(_bits(mask))
-        block = self._corr.take(members, 0).take(members, 1)
-        low, info = dpotrf(block.T, overwrite_a=1)  # block.T: same matrix, Fortran order
-        inv = None
-        if not info:
-            inv, info = dpotrs(low, self._eye[len(members)])
-            diag = inv.diagonal().tolist()
-            if info or not all(0 < kii * COLLINEAR_TOL <= 1 for kii in diag):  # NaN fails too
-                inv = None
-        self[mask] = inv
-        return inv
+    def __len__(self) -> int:
+        """How many subsets of two or more vertices have been inverted."""
+        return sum(level.shape[2] for level in self._levels[2:]) + len(self._single)
+
+    def _level(self, s: int) -> np.ndarray:
+        """The stack of inverses of every subset of size s."""
+        levels = self._levels
+        if s >= len(levels):
+            members, parents, _ = self._layout
+            for t in range(len(levels), s + 1):
+                rest, v = members[t][:-1], members[t][-1]
+                levels.append(_border(levels[-1][:, :, parents[t]], self._corr, rest, v))
+        return levels[s]
+
+    def locate(self, mask: int) -> tuple[np.ndarray, int]:
+        """A stack of inverses holding T's, and T's number in it."""
+        if self._layout is not None:
+            return self._level(mask.bit_count()), self._layout[2][mask]
+        inv = self._single.get(mask)
+        if inv is None:
+            members = np.array(list(_bits(mask)))
+            inv = self._levels[0]
+            for i in range(len(members)):
+                inv = _border(inv, self._corr, members[:i, None], members[i : i + 1])
+            self._single[mask] = inv
+        return inv, 0
 
     def parent_table(self, rule) -> list:
         """Every step's parent mask, at index T*p + k for each k in T.
 
-        For each size s >= 2 the inverses of all subsets T of that size
-        are stacked, a collinear one as all NaN, with K_jk read from the
-        upper triangle.  rule(inv, members), members holding each T's
-        vertices in ascending order, returns an s x s array that is true
-        where member j stays dependent on member k given the rest of T.
-        Column k becomes a vertex mask through the weights 1 << member.
-        K is still factored once per subset; an entry with |T| < 2 is 0.
+        For each size s >= 2 the stack of inverses of all subsets T of
+        that size, a collinear one all NaN, goes to rule(inv, members),
+        members[i] holding each T's i-th smallest vertex. It returns an
+        s x s stack that is true where member j stays dependent on member
+        k given the rest of T. Column k becomes a vertex mask through the
+        weights 1 << member. An entry with |T| < 2 is 0. The search caps
+        p at MAX_P_CEILING, so the table keeps every size.
         """
         p = self._corr.shape[0]
+        members = self._layout[0]
         table = np.zeros(p << p, dtype=np.int64)
         for s in range(2, p + 1):
-            members = np.array(list(combinations(range(p), s)))
-            weights = 1 << members
-            masks = weights.sum(1)
-            nan = np.full((s, s), math.nan)
-            inv = np.stack([nan if i is None else i for i in map(self.__getitem__, masks.tolist())])
-            inv = np.where(np.triu(np.ones((s, s), bool)), inv, inv.swapaxes(1, 2))
-            dependent = rule(inv, members) & ~np.eye(s, dtype=bool)
-            table[masks[:, None] * p + members] = np.einsum("tjk,tj->tk", dependent, weights)
+            dependent = rule(self._level(s), members[s]) & ~np.eye(s, dtype=bool)[:, :, None]
+            weights = 1 << members[s]
+            table[weights.sum(0) * p + members[s]] = np.einsum("jkt,jt->kt", dependent, weights)
         return table.tolist()
 
 
@@ -330,17 +396,19 @@ class PartialCorrelationBackend(CiBackend):
 
     @property
     def subsets_factored(self) -> int:
-        """How many vertex subsets have been inverted so far."""
+        """How many vertex subsets of two or more have been inverted so far.
+
+        Up to MAX_P_CEILING vertices the table inverts whole subset sizes,
+        so one query given s vertices counts every subset of 2 to s + 2.
+        """
         return len(self._table)
 
     def _rho(self, j: int, k: int, s_mask: int) -> float:
         """rho of a canonical query from its subset's entry; NaN when collinear."""
         mask = s_mask | 1 << j | 1 << k
-        inv = self._table[mask]
-        if inv is None:
-            return math.nan
+        inv, t = self._table.locate(mask)
         a, b = _rank(mask, j), _rank(mask, k)
-        return -inv.item(a, b) / math.sqrt(inv.item(a, a) * inv.item(b, b))
+        return -inv.item(a, b, t) / math.sqrt(inv.item(a, a, t) * inv.item(b, b, t))
 
     def _rule(self, rho: float, size: int) -> float:
         """The statistic given |S| = size; inf when |rho| >= 1 or NaN."""
@@ -382,20 +450,21 @@ class PartialCorrelationBackend(CiBackend):
         the Fisher statistic takes math.atanh, as np.arctanh may differ
         in the last place.  Collinear queries are recorded as there.
         """
-        d = inv.diagonal(0, 1, 2)
-        rho = -inv / np.sqrt(d[:, :, None] * d[:, None, :])
+        d = inv.diagonal().T
+        rho = -inv / np.sqrt(d[:, None] * d)
         ok = np.abs(rho) < 1  # NaN fails too
         if self._n is None:
             independent = np.abs(rho) <= self._level
         else:
             z = np.zeros_like(rho)
             z[ok] = list(map(math.atanh, rho[ok].tolist()))
-            size = members.shape[1] - 2
+            size = members.shape[0] - 2
             independent = math.sqrt(self._n - size - 3) * np.abs(z) < self._level
-        rows = members.tolist()
-        for t, a, b in np.argwhere(np.triu(~ok, 1)).tolist():
-            j, k = rows[t][a], rows[t][b]
-            self._collinear.add((j, k, sum(1 << v for v in rows[t]) ^ 1 << j ^ 1 << k))
+        cols = members.T.tolist()
+        upper = np.triu(np.ones(ok.shape[:2], bool), 1)[:, :, None]
+        for a, b, t in np.argwhere(~ok & upper).tolist():
+            j, k = cols[t][a], cols[t][b]
+            self._collinear.add((j, k, sum(1 << v for v in cols[t]) ^ 1 << j ^ 1 << k))
         return ~(ok & independent)
 
 

@@ -17,8 +17,8 @@ on their set, so the same DP scores every ordering from one regression per
 (prefix set, vertex) without issuing conditional-independence queries; for
 an exact Gaussian oracle the two routes coincide.  Both give the DP one
 flat table of parent sets as vertex masks, built a subset size at a
-time from the stacked inverses of a per-subset table that still factors
-each subset once.
+time from the stacked inverses of a per-subset table, which inverts
+every subset of one size at once.
 
 A dense model has many sparsest orderings (all p! for a complete DAG),
 so winners travel as int edge masks, bit j*p + k standing for the edge
@@ -38,6 +38,7 @@ from itertools import combinations
 from .exceptions import CapacityError
 from .graph import Dag, EquivClassPattern, _bits, pattern_of
 from .oracle import (
+    MAX_P_CEILING,
     CachingBackend,
     CiBackend,
     CovarianceMatrix,
@@ -240,6 +241,8 @@ def _check_cap(p: int, max_p: int) -> None:
             f"p={p} exceeds the cap of {max_p} vertices: the search fills a table "
             f"over all 2^{p} = {2 ** p} prefix sets; raise --max-p to allow it"
         )
+    if p > MAX_P_CEILING:
+        raise CapacityError(f"p={p} exceeds the ceiling of {MAX_P_CEILING} vertices")
 
 
 def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
@@ -251,8 +254,9 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
     induces.  A partial-correlation backend, bare or cached, builds the
     DP's flat table of parent masks from its per-subset table, a subset
     size at a time; any other backend fills that table through
-    is_independent, and through a cache each distinct query reaches it
-    once.
+    is_independent, asked once for each pair in each vertex set T: the
+    answer sets both T*p + k and T*p + j.  p may not exceed
+    MAX_P_CEILING, whatever max_p says.
     """
     p = ci.p
     _check_cap(p, max_p)
@@ -261,14 +265,11 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
         return _sparsest(p, inner.parent_table())
     is_independent = ci.is_independent
     table = [0] * (p << p)
-    for mask in range(1, 1 << p):
-        for k in range(p):
-            if not mask >> k & 1:
-                table[(mask | 1 << k) * p + k] = sum(
-                    1 << j
-                    for j in _bits(mask)
-                    if not is_independent(j, k, tuple(_bits(mask ^ 1 << j)))
-                )
+    for t in range(1 << p):
+        for j, k in combinations(_bits(t), 2):
+            if not is_independent(j, k, tuple(_bits(t ^ 1 << j ^ 1 << k))):
+                table[t * p + k] |= 1 << j
+                table[t * p + j] |= 1 << k
     return _sparsest(p, table)
 
 
@@ -301,5 +302,5 @@ def sp_search_cholesky(
     p = sigma.p
     _check_cap(p, max_p)
     table = _SubsetTable(_standardize(sigma))
-    fill = lambda inv, _: ~(abs(inv) / inv.diagonal(0, 1, 2)[:, None, :] <= chol_tol)
+    fill = lambda inv, _: ~(abs(inv) / inv.diagonal().T <= chol_tol)
     return _sparsest(p, table.parent_table(fill))

@@ -192,6 +192,21 @@ def partial_corr_by_inverse(sigma, j, k, s=()):
     return float(-inv[a, b] / np.sqrt(inv[a, a] * inv[b, b]))
 
 
+def subset_inverse(corr, members):
+    """The inverse of corr over members by Cholesky, and its smallest 1/K_ii.
+
+    Returns (None, 0.0) when the block does not factor; the block is
+    collinear when that smallest conditional variance, given the rest of
+    the members, is below COLLINEAR_TOL.
+    """
+    block = np.asarray(corr, dtype=float)[np.ix_(members, members)]
+    try:
+        inv = cho_solve(cho_factor(block), np.eye(len(members)))
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    return inv, float(np.min(1 / np.diag(inv)))
+
+
 def profile_score(g: Dag, sigma) -> float:
     """Sum over vertices k of log sigma^2(k | pa(k)), the Gaussian profile score.
 

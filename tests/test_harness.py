@@ -354,7 +354,8 @@ class TestOutputs:
         def runs(cfg, workers):
             return [(r.trial, r.seed, r.method) for r in run_grid(cfg, workers).records]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # run_grid imports the executor only when it needs a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         cfg = small_config(trials=2)
         serial = runs(cfg, 1)
         assert runs(cfg, 5000) == runs(cfg, 2) == serial

@@ -12,7 +12,9 @@ Core claims checked here:
 """
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from spdag.baselines import sgs_skeleton
 from spdag.exceptions import NumericalError
 from spdag.graph import Dag, d_separated
 from spdag.oracle import (
+    COLLINEAR_TOL,
     CovarianceMatrix,
     TestConfig,
     caching_wrapper,
@@ -36,6 +39,8 @@ from spdag.oracle import (
     load_covariance_csv,
     load_samples_csv,
     partial_correlation,
+    _standardize,
+    _SubsetTable,
 )
 from spdag.sem import LinearSem, covariance_of, random_sem, GenConfig, sample
 from spdag.sp import sp_search, sp_search_cholesky
@@ -49,7 +54,7 @@ from corpus import (
     marginal_cancellation_sem,
     random_sem_pool,
 )
-from reference import partial_corr_by_inverse
+from reference import partial_corr_by_inverse, subset_inverse
 
 
 def random_spd(rng, p):
@@ -548,6 +553,106 @@ class TestCollinearRule:
         assert both.collinear_warnings == sp_only.collinear_warnings
         sgs_skeleton(both)
         assert both.collinear_warnings == len(sp_only._collinear | sgs_only._collinear)
+
+
+def collinear_samples(rng, p, mode, n=40):
+    """n rows in random units whose last column copies another (mode 1) or,
+    up to noise from 1e-9 to 1e-2 of its size, combines the others (mode 2)."""
+    mix = np.where(rng.random((p, p)) < 0.5, rng.standard_normal((p, p)), 0.0) + np.eye(p)
+    x = rng.standard_normal((n, p)) @ mix
+    if mode == 1:
+        x[:, -1] = x[:, rng.integers(p - 1)]
+    elif mode == 2:
+        x[:, -1] = x[:, :-1] @ (rng.standard_normal(p - 1) * 10.0 ** rng.uniform(-1, 1, p - 1))
+        x[:, -1] += 10.0 ** rng.uniform(-9, -2) * x[:, -1].std() * rng.standard_normal(n)
+    return x * 10.0 ** rng.uniform(-3, 3, p)
+
+
+class TestSubsetInverses:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7), mode=st.sampled_from([0, 1, 2]))
+    def test_every_inverse_matches_the_reference(self, seed, p, mode):
+        # Every subset's bordered inverse against a Cholesky solve of its
+        # block, within a relative error that grows with the block's
+        # condition number, on plain, duplicated and near-collinear
+        # columns. A collinear subset is all NaN, and so is every
+        # superset; every K is exactly symmetric.
+        x = collinear_samples(np.random.default_rng(seed), p, mode)
+        corr = _standardize(x.T @ x / len(x))
+        table = _SubsetTable(corr)
+        collinear = set()
+        for mask in range(1, 2**p):
+            members = [v for v in range(p) if mask >> v & 1]
+            inv, t = table.locate(mask)
+            got = inv[:, :, t]
+            assert np.array_equal(got, got.T, equal_nan=True)
+            if np.isnan(got).any():
+                assert np.isnan(got).all()
+                collinear.add(mask)
+                continue
+            assert not any(c & mask == c for c in collinear)
+            want, margin = subset_inverse(corr, members)
+            assert margin >= COLLINEAR_TOL / 10
+            kappa = np.linalg.cond(corr[np.ix_(members, members)])
+            assert np.abs(got - want).max() <= 1e-13 * kappa * np.abs(want).max()
+        assert mode != 1 or 2**p - 1 in collinear  # an exact copy
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(3, 7), mode=st.sampled_from([1, 2]))
+    def test_the_collinear_verdict_matches_away_from_the_tolerance(self, seed, p, mode):
+        # Where the reference's smallest conditional variance lies more
+        # than a factor of 10 from COLLINEAR_TOL, both call the subset
+        # collinear or both do not.
+        x = collinear_samples(np.random.default_rng(seed), p, mode)
+        corr = _standardize(x.T @ x / len(x))
+        table = _SubsetTable(corr)
+        for mask in range(3, 2**p):
+            members = [v for v in range(p) if mask >> v & 1]
+            _, margin = subset_inverse(corr, members)
+            if COLLINEAR_TOL / 10 <= margin <= COLLINEAR_TOL * 10:
+                continue
+            inv, t = table.locate(mask)
+            assert np.isnan(inv[:, :, t]).any() == (margin < COLLINEAR_TOL)
+
+    def test_a_query_above_the_ceiling_inverts_its_subset_alone(self):
+        # At p = 24 no index over the 2^p subsets is built: the query
+        # answers from its own subset's inverse, matches the reference, and
+        # allocates far less than 2^24 bytes.
+        p = 24
+        sigma = random_spd(np.random.default_rng(24), p)
+        s = {1, 3, 5, 8, 13, 21, 22}
+        want = partial_corr_by_inverse(sigma, 0, 23, s)
+        tracemalloc.start()
+        try:
+            rho = partial_correlation(sigma, 0, 23, s)
+            be = lambda_backend(sigma, abs(want) + 0.01)
+            independent = be.is_independent(23, 0, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert independent and not lambda_backend(sigma, abs(want) / 2).is_independent(0, 23, s)
+        assert be.subsets_factored == 1
+        assert peak < 2**20
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8), mode=st.sampled_from([0, 1, 2]))
+    def test_one_subset_at_a_time_gives_the_bits_of_the_levels(self, seed, p, mode):
+        # With the ceiling lowered below p, each subset is bordered on its
+        # own along its members; every inverse, statistic, answer and the
+        # collinear count are bit for bit those of the level table.
+        x = collinear_samples(np.random.default_rng(seed), p, mode)
+        levels = fisher_z_backend(x, TestConfig(alpha=0.2))
+        with mock.patch("spdag.oracle.MAX_P_CEILING", 1):
+            single = fisher_z_backend(x, TestConfig(alpha=0.2))
+        for j, k, s in iter_triples(p):
+            assert single.statistic(j, k, s) == levels.statistic(j, k, s)
+            assert single.is_independent(j, k, s) == levels.is_independent(j, k, s)
+        assert single.collinear_warnings == levels.collinear_warnings
+        assert single.subsets_factored == levels.subsets_factored == 2**p - p - 1
+        for mask in range(3, 2**p):
+            (a, i), (b, j) = single._table.locate(mask), levels._table.locate(mask)
+            assert a[:, :, i].tobytes() == b[:, :, j].tobytes()
 
 
 class TestCachingWrapper:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -210,6 +211,25 @@ class TestSpSearch:
             assert ci.cache_size == math.comb(p, 2) * 2 ** (p - 2)
         assert ci.cache_size == 4608
 
+    def test_asks_a_bare_backend_each_query_once(self):
+        # without a cache in front, each of the C(p, 2) * 2^(p-2) queries
+        # still reaches the backend once: one answer fills both ends' entries
+        class Counting(QueryOnly):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.asked = Counter()
+
+            def is_independent(self, j, k, s=()):
+                self.asked[min(j, k), max(j, k), frozenset(s)] += 1
+                return super().is_independent(j, k, s)
+
+        for p in range(2, 10):
+            g = Dag(p, [(v, v + 1) for v in range(p - 1)])
+            ci = Counting(dsep_backend(g))
+            assert sp_search(ci).classes == {pattern_of(g)}
+            assert len(ci.asked) == math.comb(p, 2) * 2 ** (p - 2)
+            assert set(ci.asked.values()) == {1}
+
     def test_edge_cancellation_recovers_cycle_class(self):
         r = sp_search(edge_cancellation_backend())
         assert r.min_edges == 4
@@ -270,6 +290,13 @@ class TestSpSearch:
             sp_search(ci)
         r = sp_search(explicit_backend(3, []), max_p=3)
         assert r.min_edges == 3  # complete graph: nothing is independent
+
+    def test_no_cap_lifts_the_ceiling(self):
+        # past MAX_P_CEILING both routes refuse before building anything
+        with pytest.raises(CapacityError, match=r"p=17 exceeds the ceiling of 16 vertices"):
+            sp_search(explicit_backend(17, []), max_p=17)
+        with pytest.raises(CapacityError, match=r"p=17 exceeds the ceiling of 16 vertices"):
+            sp_search_cholesky(np.eye(17), max_p=100)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_both_routes_recover_sparse_models_above_the_default_cap(self, seed):
