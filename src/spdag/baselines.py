@@ -2,7 +2,11 @@
 
 Two classical pipelines share the CiBackend interface: an exhaustive
 variant that considers every conditioning set for every pair, and a
-level-wise variant that only conditions on current neighbours.  Both
+level-wise variant that only conditions on current neighbours.  The
+exhaustive one has two routes: on a partial-correlation backend it
+reads every pair's first separating set from the backend's table of
+subset inverses, a subset size at a time, and on any other backend it
+asks each query in turn, which the table route matches.  Both pipelines
 return ``(edges, sepsets)``: the undirected skeleton as pairs (j, k)
 with j < k, and a plain dict from each deleted pair (j, k), j < k, to
 the frozenset that first separated it.  v-structure orientation turns
@@ -15,7 +19,7 @@ from itertools import combinations
 
 from .exceptions import CapacityError
 from .graph import EquivClassPattern, _bits, _colliders
-from .oracle import CiBackend, _pair_subsets
+from .oracle import CachingBackend, CiBackend, PartialCorrelationBackend, _pair_subsets
 
 SKELETON_CAP = 12
 
@@ -42,19 +46,24 @@ def sgs_skeleton(ci: CiBackend):
 
     Conditioning sets are tried smallest first, ties broken
     lexicographically, and the first hit is recorded, so the witness
-    table is the same on every run.
+    table is the same on every run. A partial-correlation backend, bare
+    or cached, decides every pair a subset size at a time from its table
+    of subset inverses, with the same answers, sets and collinear count
+    as asking it; any other backend is asked query by query.
     """
     p = ci.p
     _check_cap(p)
-    edges = set()
-    sepsets = {}
-    for j, k in combinations(range(p), 2):
-        hit = next((s for s in _pair_subsets(p, j, k) if ci.is_independent(j, k, s)), None)
-        if hit is None:
-            edges.add((j, k))
-        else:
-            sepsets[j, k] = frozenset(hit)
-    return frozenset(edges), sepsets
+    inner = ci.inner if isinstance(ci, CachingBackend) else ci
+    if isinstance(inner, PartialCorrelationBackend):
+        sepsets = inner.first_separators()
+    else:
+        sepsets = {}
+        for j, k in combinations(range(p), 2):
+            hit = next((s for s in _pair_subsets(p, j, k) if ci.is_independent(j, k, s)), None)
+            if hit is not None:
+                sepsets[j, k] = frozenset(hit)
+    edges = frozenset(pair for pair in combinations(range(p), 2) if pair not in sepsets)
+    return edges, sepsets
 
 
 def pc_skeleton(ci: CiBackend):

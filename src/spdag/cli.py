@@ -215,7 +215,8 @@ def cmd_learn(args) -> int:
 def cmd_baseline(args) -> int:
     built, label = _build_backend(args)
     t0 = time.perf_counter()
-    # SGS asks each query once, so only PC, which repeats them, gets a cache
+    # SGS reads a partial-correlation backend's subset table directly and asks
+    # any other backend each query once, so only PC, which repeats them, gets a cache
     pattern = sgs_pattern(built) if args.method == "sgs" else pc_pattern(caching_wrapper(built))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     doc = {

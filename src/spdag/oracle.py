@@ -16,7 +16,8 @@ three answer sources implement it:
   on sample data. On every rule a pair in a collinear subset counts as
   dependent and is counted in ``collinear_warnings``. For the ordering
   search it builds a flat table of every step's parent mask from the
-  same inverses, a subset size at a time, by the same rule and bits.
+  same inverses, and for SGS every pair's first separating set, a
+  subset size at a time, by the same rule and bits.
 
 All backends are deterministic and symmetric in the queried pair.
 :func:`caching_wrapper` memoizes any of them on canonicalized queries.
@@ -225,12 +226,15 @@ def _layout(p: int) -> tuple:
 
     Subsets of one size are numbered in mask order. members[s][i] holds
     the i-th smallest member of each subset of size s, parents[s] the
-    number of each one less its largest member, and row[mask] a subset's
-    number within its size.
+    number of each one less its largest member, row[mask] a subset's
+    number within its size, and rev[mask] the mask with its p bits in
+    reverse order: subsets of one size in descending rev order are in
+    the order combinations lists them, and rev[rev[mask]] == mask.
     """
     every = np.arange(1 << p)
     bits = (every[:, None] >> np.arange(p) & 1).astype(bool)
     sizes = bits.sum(1)
+    rev = bits[:, ::-1] @ (1 << np.arange(p))
     row = np.zeros(1 << p, dtype=np.intp)
     members, parents = [], []
     for s in range(p + 1):
@@ -238,9 +242,18 @@ def _layout(p: int) -> tuple:
         row[chosen] = np.arange(len(chosen))
         members.append(np.nonzero(bits[chosen])[1].reshape(len(chosen), s).T.copy())
         parents.append(row[chosen ^ 1 << members[s][-1]] if s else None)
-    for a in members + parents[1:]:
+    for a in members + parents[1:] + [rev]:
         a.setflags(write=False)
-    return members, parents, tuple(row.tolist())
+    return members, parents, tuple(row.tolist()), rev
+
+
+@cache
+def _upper(s: int) -> tuple:
+    """The row and column numbers (a, b), a < b, of an s x s upper triangle, read-only."""
+    pairs = np.triu_indices(s, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
 
 def _border(inv, corr: np.ndarray, rest: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -274,6 +287,25 @@ def _border(inv, corr: np.ndarray, rest: np.ndarray, v: np.ndarray) -> np.ndarra
     return out
 
 
+def _bordered(corr: np.ndarray, mask: int) -> np.ndarray:
+    """The inverse over T = mask alone, a stack of one, bordered member by member.
+
+    Each step is the level table's, so the bits are those of T's entry
+    there, at a cost of |T| small steps instead of every smaller subset.
+    """
+    members = np.array(list(_bits(mask)))
+    inv = np.ones((0, 0, 1))
+    for i in range(len(members)):
+        inv = _border(inv, corr, members[:i, None], members[i : i + 1])
+    return inv
+
+
+def _rho_at(inv: np.ndarray, t: int, mask: int, j: int, k: int) -> float:
+    """rho of j and k given the rest of T = mask, from T's inverse inv[:, :, t]."""
+    a, b = _rank(mask, j), _rank(mask, k)
+    return -inv.item(a, b, t) / math.sqrt(inv.item(a, a, t) * inv.item(b, b, t))
+
+
 class _SubsetTable:
     """The inverse K = corr[T, T]^-1 of each vertex subset T, built by bordering.
 
@@ -300,7 +332,7 @@ class _SubsetTable:
         """The stack of inverses of every subset of size s."""
         levels = self._levels
         if s >= len(levels):
-            members, parents, _ = self._layout
+            members, parents, _, _ = self._layout
             for t in range(len(levels), s + 1):
                 rest, v = members[t][:-1], members[t][-1]
                 levels.append(_border(levels[-1][:, :, parents[t]], self._corr, rest, v))
@@ -312,11 +344,7 @@ class _SubsetTable:
             return self._level(mask.bit_count()), self._layout[2][mask]
         inv = self._single.get(mask)
         if inv is None:
-            members = np.array(list(_bits(mask)))
-            inv = self._levels[0]
-            for i in range(len(members)):
-                inv = _border(inv, self._corr, members[:i, None], members[i : i + 1])
-            self._single[mask] = inv
+            inv = self._single[mask] = _bordered(self._corr, mask)
         return inv, 0
 
     def parent_table(self, rule) -> list:
@@ -345,8 +373,9 @@ def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
 
     Standardizes sigma to unit diagonal and reads the value from the
     inverse K of the block over s + {j, k} as -K_jk / sqrt(K_jj K_kk),
-    exactly as :class:`PartialCorrelationBackend` does. With empty s
-    this is the plain correlation.
+    exactly as :class:`PartialCorrelationBackend` does. Only that block
+    is inverted, to the bits of the backend's table. With empty s this
+    is the plain correlation.
 
     Raises
     ------
@@ -354,9 +383,10 @@ def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
         When the block is collinear; the conditioning set is attached
         to the exception.
     """
-    be = PartialCorrelationBackend(sigma, 0.0)
-    j, k, s_mask = _canonical_query(be.p, j, k, s)
-    rho = be._rho(j, k, s_mask)
+    corr = _standardize(sigma)
+    j, k, s_mask = _canonical_query(corr.shape[0], j, k, s)
+    mask = s_mask | 1 << j | 1 << k
+    rho = _rho_at(_bordered(corr, mask), 0, mask, j, k)
     if not abs(rho) < 1:
         s = list(_bits(s_mask))
         raise NumericalError(f"block over {s} + ({j}, {k}) is collinear", subset=s)
@@ -406,9 +436,7 @@ class PartialCorrelationBackend(CiBackend):
     def _rho(self, j: int, k: int, s_mask: int) -> float:
         """rho of a canonical query from its subset's entry; NaN when collinear."""
         mask = s_mask | 1 << j | 1 << k
-        inv, t = self._table.locate(mask)
-        a, b = _rank(mask, j), _rank(mask, k)
-        return -inv.item(a, b, t) / math.sqrt(inv.item(a, a, t) * inv.item(b, b, t))
+        return _rho_at(*self._table.locate(mask), mask, j, k)
 
     def _rule(self, rho: float, size: int) -> float:
         """The statistic given |S| = size; inf when |rho| >= 1 or NaN."""
@@ -446,26 +474,86 @@ class PartialCorrelationBackend(CiBackend):
     def _dependent(self, inv, members):
         """is_independent negated, for every pair of every stacked subset.
 
-        The same IEEE operations as the scalar path give the same bits;
-        the Fisher statistic takes math.atanh, as np.arctanh may differ
-        in the last place.  Collinear queries are recorded as there.
+        Collinear queries are recorded as there.
+        """
+        a, b = _upper(len(members))
+        ok, independent = self._decide(inv, a, b)
+        self._note_collinear(members, a, b, ~ok)
+        dependent = np.zeros(inv.shape, bool)
+        dependent[a, b] = dependent[b, a] = ~independent
+        return dependent
+
+    def _decide(self, inv, a, b):
+        """(not collinear, is_independent) for member pairs (a, b) of stacked subsets.
+
+        Entry [i, t] answers for members a[i] and b[i] of the t-th subset,
+        given its other members. The same IEEE operations as the scalar
+        path give the same bits. The Fisher statistic takes np.arctanh,
+        which may differ from math.atanh in the last place, so where it
+        lies within a relative 1e-9 of the level it is taken again with
+        math.atanh, as the scalar path does.
         """
         d = inv.diagonal().T
-        rho = -inv / np.sqrt(d[:, None] * d)
+        rho = -inv[a, b] / np.sqrt(d[a] * d[b])
         ok = np.abs(rho) < 1  # NaN fails too
         if self._n is None:
-            independent = np.abs(rho) <= self._level
-        else:
-            z = np.zeros_like(rho)
-            z[ok] = list(map(math.atanh, rho[ok].tolist()))
-            size = members.shape[0] - 2
-            independent = math.sqrt(self._n - size - 3) * np.abs(z) < self._level
-        cols = members.T.tolist()
-        upper = np.triu(np.ones(ok.shape[:2], bool), 1)[:, :, None]
-        for a, b, t in np.argwhere(~ok & upper).tolist():
-            j, k = cols[t][a], cols[t][b]
-            self._collinear.add((j, k, sum(1 << v for v in cols[t]) ^ 1 << j ^ 1 << k))
-        return ~(ok & independent)
+            return ok, ok & (np.abs(rho) <= self._level)
+        scale = math.sqrt(self._n - (len(inv) - 2) - 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = scale * np.abs(np.arctanh(rho))
+        near = ok & (np.abs(t - self._level) <= 1e-9 * self._level)
+        t[near] = [scale * abs(math.atanh(r)) for r in rho[near].tolist()]
+        return ok, ok & (t < self._level)
+
+    def _note_collinear(self, members, a, b, where) -> None:
+        """Record the queries of member pairs (a, b), a < b, where `where` holds.
+
+        members is a level's s x C member array; a and b index its rows, and
+        where has a row per pair and a column per subset.
+        """
+        i, t = np.nonzero(where)
+        if not len(i):
+            return
+        j, k = members[a[i], t], members[b[i], t]
+        rest = (1 << members[:, t]).sum(0) ^ 1 << j ^ 1 << k
+        self._collinear.update(zip(j.tolist(), k.tolist(), rest.tolist()))
+
+    def first_separators(self) -> dict:
+        """Each pair's first separating set in SGS's order, by the rule of is_independent.
+
+        SGS asks (j, k), j < k, given each S in V - {j, k}, smaller sets
+        first and sets of one size in combinations order, that is by
+        descending bit-reversed mask, and stops at the first independent
+        one. Here every pair of a whole subset size |T| = |S| + 2 is
+        decided at once, and each pair still open keeps its first
+        independent T - {j, k} of that size, until no pair is open. The
+        collinear queries recorded are the ones that walk asks: a pair's
+        at a size up to its separator there, or all when it has none.
+        Returns {(j, k): S} over the separated pairs; p may not exceed
+        MAX_P_CEILING.
+        """
+        p = self.p
+        members, _, _, rev = _layout(p)
+        open_ = np.triu(np.ones((p, p), bool), 1).ravel()  # at j * p + k
+        found = {}
+        for s in range(2, p + 1):
+            if not open_.any():
+                break
+            a, b = _upper(s)
+            ok, independent = self._decide(self._table._level(s), a, b)
+            pair = members[s][a] * p + members[s][b]  # a row per member pair
+            key = rev[(1 << members[s]).sum(0)]  # a column per subset
+            live = open_[pair]
+            i, t = np.nonzero(live & independent)
+            first = np.full(p * p, -1)
+            np.maximum.at(first, pair[i, t], key[t])
+            self._note_collinear(members[s], a, b, live & ~ok & (key > first[pair]))
+            done = np.flatnonzero(first >= 0)
+            for q, mask in zip(done.tolist(), rev[first[done]].tolist()):
+                j, k = divmod(q, p)
+                found[j, k] = frozenset(_bits(mask ^ 1 << j ^ 1 << k))
+            open_[done] = False
+        return found
 
 
 class CachingBackend(CiBackend):

@@ -112,3 +112,16 @@ def random_sem_pool(seed, count, p_values=(3, 4, 5), nbhd=1.5):
         cfg = GenConfig(p=p, expected_nbhd=min(nbhd, p - 1))
         out.append(random_weights(random_dag(cfg, rng), rng))
     return out
+
+
+def collinear_samples(rng, p, mode, n=40):
+    """n rows in random units whose last column copies another (mode 1) or,
+    up to noise from 1e-9 to 1e-2 of its size, combines the others (mode 2)."""
+    mix = np.where(rng.random((p, p)) < 0.5, rng.standard_normal((p, p)), 0.0) + np.eye(p)
+    x = rng.standard_normal((n, p)) @ mix
+    if mode == 1:
+        x[:, -1] = x[:, rng.integers(p - 1)]
+    elif mode == 2:
+        x[:, -1] = x[:, :-1] @ (rng.standard_normal(p - 1) * 10.0 ** rng.uniform(-1, 1, p - 1))
+        x[:, -1] += 10.0 ** rng.uniform(-9, -2) * x[:, -1].std() * rng.standard_normal(n)
+    return x * 10.0 ** rng.uniform(-3, 3, p)

@@ -17,13 +17,24 @@ from spdag.baselines import (
 )
 from spdag.exceptions import CapacityError
 from spdag.graph import Dag, pattern_of, skeleton
-from spdag.oracle import dsep_backend, explicit_backend, iter_triples
+from spdag.oracle import (
+    CiBackend,
+    TestConfig,
+    caching_wrapper,
+    dsep_backend,
+    explicit_backend,
+    fisher_z_backend,
+    gaussian_exact_backend,
+    iter_triples,
+    lambda_backend,
+)
 from spdag.sp import build_dag_for_permutation
 
 from corpus import (
     CHAIN3,
     CHAIN4,
     FOUR_CYCLE,
+    collinear_samples,
     edge_cancellation_backend,
     marginal_cancellation_backend,
     missed_independence_backend,
@@ -52,7 +63,51 @@ class QueryLog:
         return self._ci.is_independent(j, k, s)
 
 
+class Opaque(CiBackend):
+    """Answers as ci does, but hides its type, so SGS asks it query by query."""
+
+    def __init__(self, ci):
+        self._ci = ci
+
+    @property
+    def p(self):
+        return self._ci.p
+
+    def is_independent(self, j, k, s=()):
+        return self._ci.is_independent(j, k, s)
+
+
 class TestSgsSkeleton:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 7),
+        mode=st.sampled_from([0, 1, 2]),
+        rule=st.sampled_from(["fisher", "lambda", "exact"]),
+        level=st.floats(0.001, 0.5),
+        cached=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    def test_table_route_answers_as_asking(self, seed, p, mode, rule, level, cached):
+        # Plain, exactly copied (mode 1) and near-collinear (mode 2)
+        # columns: reading the subset table gives the skeleton, every
+        # first separating set and the set of collinear queries that
+        # asking each query in turn gives.
+        x = collinear_samples(np.random.default_rng(seed), p, mode)
+        sigma = x.T @ x / len(x)
+        sigma += 1e-13 * np.diag(np.diag(sigma))  # positive definite despite a copy
+
+        def make():
+            if rule == "fisher":
+                return fisher_z_backend(x, TestConfig(alpha=level))
+            if rule == "lambda":
+                return lambda_backend(sigma, level)
+            return gaussian_exact_backend(sigma, zero_tol=level / 10)
+
+        table, asked = make(), make()
+        got = sgs_skeleton(caching_wrapper(table) if cached else table)
+        assert got == sgs_skeleton(Opaque(asked))
+        assert table._collinear == asked._collinear
+
     def test_chain_recovery(self):
         sk, t = sgs_skeleton(dsep_backend(CHAIN3))
         assert sk == frozenset({(0, 1), (1, 2)})

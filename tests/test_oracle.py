@@ -14,6 +14,7 @@ Core claims checked here:
 import math
 import tracemalloc
 import warnings
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,7 @@ from spdag.oracle import (
     load_covariance_csv,
     load_samples_csv,
     partial_correlation,
+    PartialCorrelationBackend,
     _standardize,
     _SubsetTable,
 )
@@ -50,6 +52,7 @@ from corpus import (
     EDGE_CANCEL_TRIPLES,
     FOUR_CYCLE,
     MARGINAL_CANCEL_TRIPLES,
+    collinear_samples,
     edge_cancellation_sem,
     marginal_cancellation_sem,
     random_sem_pool,
@@ -197,6 +200,38 @@ class TestPartialCorrelation:
         with pytest.raises(NumericalError) as err:
             partial_correlation(m, 0, 3, {1, 2})
         assert err.value.subset == (1, 2)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7), mode=st.sampled_from([0, 1, 2]))
+    def test_one_off_value_is_the_level_tables_to_the_bit(self, seed, p, mode):
+        # A one-off call inverts only its own block, yet returns the value
+        # a backend reads from its table of every subset size, bit for bit,
+        # and raises exactly where that value is collinear.
+        x = collinear_samples(np.random.default_rng(seed), p, mode)
+        moments = x.T @ x / len(x)
+        be = PartialCorrelationBackend(moments, 0.5)
+        for j, k, s in iter_triples(p):
+            want = be._rho(j, k, sum(1 << v for v in s))
+            try:
+                got = partial_correlation(moments, j, k, s)
+            except NumericalError:
+                assert not abs(want) < 1
+            else:
+                assert got.hex() == want.hex()
+
+    def test_a_one_off_query_inverts_its_block_alone(self):
+        # Given the other 14 of 16 vertices, the table of every subset
+        # size would hold about 36 MB of inverses.
+        sigma = random_spd(np.random.default_rng(16), 16)
+        s = range(2, 16)
+        tracemalloc.start()
+        try:
+            rho = partial_correlation(sigma, 0, 1, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho == pytest.approx(partial_corr_by_inverse(sigma, 0, 1, s), rel=1e-10, abs=1e-12)
+        assert peak < 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -363,6 +398,42 @@ class TestFisherZ:
             t = math.sqrt(200 - len(s) - 3) * abs(math.atanh(rho))
             assert be.statistic(j, k, s) == pytest.approx(t)
             assert be.is_independent(j, k, s) == (t < norm.ppf(1 - 0.05 / 2))
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2])
+    def test_stacked_rule_answers_as_is_independent_at_the_level(self, alpha):
+        # Hand-made inverses of every subset of p = 8 vertices set each
+        # pair's |rho| to within 12 ulps of tanh(level / sqrt(n - |S| - 3)),
+        # on both sides, where np.arctanh and math.atanh can round apart.
+        # The stacked rule must answer every query as is_independent does,
+        # both reading the same stacks.
+        p, n = 8, 60
+        rng = np.random.default_rng(97)
+        be = fisher_z_backend(rng.standard_normal((n, p)), TestConfig(alpha=alpha))
+        levels, queries = [], []
+        for size in range(p + 1):
+            subsets = [m for m in range(2**p) if bin(m).count("1") == size]  # the table's order
+            inv = np.repeat(np.eye(size)[:, :, None], len(subsets), axis=2)
+            if size >= 2:
+                edge = math.tanh(be._level / math.sqrt(n - (size - 2) - 3))
+                a, b = np.triu_indices(size, 1)
+                steps = np.arange(a.size * len(subsets)).reshape(len(subsets), a.size).T % 25 - 12
+                rho = (edge + steps * math.ulp(edge)) * rng.choice((-1, 1), steps.shape)
+                inv[a, b] = inv[b, a] = -rho
+            levels.append(inv)
+            queries.append([[v for v in range(p) if mask >> v & 1] for mask in subsets])
+        be._table._levels = levels
+        answers = []
+        for size in range(2, p + 1):
+            a, b = np.triu_indices(size, 1)
+            ok, independent = be._decide(levels[size], a, b)
+            assert ok.all()
+            for (i, t), got in np.ndenumerate(independent):
+                members = queries[size][t]
+                j, k = members[a[i]], members[b[i]]
+                rest = [v for v in members if v not in (j, k)]
+                assert got == be.is_independent(j, k, rest), (j, k, rest)
+                answers.append(got)
+        assert 0.2 < np.mean(answers) < 0.8
 
     def test_perfect_correlation_dependent(self):
         rng = np.random.default_rng(89)
@@ -553,19 +624,6 @@ class TestCollinearRule:
         assert both.collinear_warnings == sp_only.collinear_warnings
         sgs_skeleton(both)
         assert both.collinear_warnings == len(sp_only._collinear | sgs_only._collinear)
-
-
-def collinear_samples(rng, p, mode, n=40):
-    """n rows in random units whose last column copies another (mode 1) or,
-    up to noise from 1e-9 to 1e-2 of its size, combines the others (mode 2)."""
-    mix = np.where(rng.random((p, p)) < 0.5, rng.standard_normal((p, p)), 0.0) + np.eye(p)
-    x = rng.standard_normal((n, p)) @ mix
-    if mode == 1:
-        x[:, -1] = x[:, rng.integers(p - 1)]
-    elif mode == 2:
-        x[:, -1] = x[:, :-1] @ (rng.standard_normal(p - 1) * 10.0 ** rng.uniform(-1, 1, p - 1))
-        x[:, -1] += 10.0 ** rng.uniform(-9, -2) * x[:, -1].std() * rng.standard_normal(n)
-    return x * 10.0 ** rng.uniform(-3, 3, p)
 
 
 class TestSubsetInverses:
