@@ -39,6 +39,7 @@ from .sp import PERMUTATION_CAP, CHOL_TOL, sp_search, sp_search_cholesky
 from .harness import config_from_file, run_grid, write_outputs
 
 BACKENDS = ("dsep", "gaussian", "fisher", "lambda", "cholesky")
+_WINNER_BLOCK = 256  # winners per write of learn's JSON: few writes, never the whole text
 
 ASSUMPTIONS = {
     "markov": assumptions.check_markov,
@@ -72,10 +73,13 @@ def _build_backend(args):
     if kind == "fisher":
         data, names = load_samples_csv(args.input)
         cols = data.T.copy()  # a row per column halves the cost of the reductions
-        # centered to zeros, a constant column would become a collinear collider hub
-        flat = np.flatnonzero(cols.min(axis=1) == cols.max(axis=1))
-        if flat.size:
-            raise UsageError(f"{args.input}: column {names[flat[0]]} is constant")
+        # centered to zeros, a constant column would become a collinear collider hub,
+        # and entries above sqrt(max / 4n) would overflow the centered moments
+        flat = cols.min(axis=1) == cols.max(axis=1)
+        huge = np.abs(cols).max(axis=1) > np.sqrt(np.finfo(float).max / 4 / len(data))
+        for bad, what in ((flat, "is constant"), (huge, "is too large to square and sum")):
+            if bad.any():
+                raise UsageError(f"{args.input}: column {names[np.argmax(bad)]} {what}")
         centered = (cols - cols.mean(axis=1, keepdims=True)).T
         return fisher_z_backend(centered, TestConfig(alpha=args.alpha)), lambda v: names[v]
 
@@ -122,8 +126,8 @@ def _write_json(doc, out, winners=None):
     """Write json.dumps(doc) and a newline to out ('-' for stdout).
 
     winners, if given, yields the text of doc's "winners" list, which
-    doc leaves empty, in pieces; they go to out as they come, so a dense
-    result's text is never held whole.
+    doc leaves empty, in blocks of a few hundred winners; each block is
+    one write, so a dense result's text is never held whole.
     """
     text = json.dumps(doc) + "\n"
     pieces = [text]
@@ -148,34 +152,38 @@ def _print_summary(out, line):
 class _RowTexts(dict):
     """JSON texts of vertex j's out-edges, keyed by j's children mask.
 
-    Each edge's text ends in ", ", so a winner's rows join into its edge
-    list with two characters to drop.  A text is built on first use.
+    names holds each label's JSON text, encoded once.  Each edge's text
+    ends in ", ", so a winner's rows join into its edge list with two
+    characters to drop.  A text is built on first use.
     """
 
-    def __init__(self, j, label):
-        self.j, self.label = j, label
+    def __init__(self, j, names):
+        self.head, self.names = f"[{names[j]}, ", names
 
     def __missing__(self, r):
-        j, label = self.j, self.label
-        text = self[r] = "".join(json.dumps([label(j), label(k)]) + ", " for k in _bits(r))
+        text = self[r] = "".join([f"{self.head}{self.names[k]}], " for k in _bits(r)])
         return text
 
 
 def _search_json(result, label, wall_ms, collinear):
-    """The learn document, its winners left empty, and their text in pieces.
+    """The learn document, its winners left empty, and their text in blocks.
 
     Row j of a winner's edge mask holds the children of j, so its rows'
     edges in turn are its sorted edge list.  Winners share rows, and
-    each distinct row's text is built once.
+    each distinct row's text is built once.  Each block holds the texts
+    of _WINNER_BLOCK winners, joined a row at a time.
     """
     p, row = result.p, (1 << result.p) - 1
-    rows = [(_RowTexts(j, label), j * p) for j in range(p)]
+    names = [json.dumps(label(v)) for v in range(p)]
+    rows = [(_RowTexts(j, names), j * p) for j in range(p)]
 
     def winner_texts():
-        sep = ""
-        for m in result.ordered_masks():
-            yield sep + "[" + "".join([t[m >> s & row] for t, s in rows])[:-2] + "]"
-            sep = ", "
+        masks = result.ordered_masks()
+        for i in range(0, len(masks), _WINNER_BLOCK):
+            block = masks[i:i + _WINNER_BLOCK]
+            # row j's texts over the block, which zip deals out a winner at a time
+            texts = [map(t.__getitem__, [m >> s & row for m in block]) for t, s in rows]
+            yield ", " * (i > 0) + ", ".join([f"[{w[:-2]}]" for w in map("".join, zip(*texts))])
 
     doc = {
         "min_edges": result.min_edges,

@@ -94,9 +94,10 @@ class CovarianceMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         _check_finite(a)
         scale = max(float(np.max(np.abs(a))), 1e-300)
-        if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+        half = a / 2.0  # halved first, so entries near the float maximum do not overflow
+        if float(np.max(np.abs(half - half.T))) > 0.5e-12 * scale:
             raise ValueError("matrix is not symmetric (relative tolerance 1e-12)")
-        a = (a + a.T) / 2.0
+        a = half + half.T
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:

@@ -184,10 +184,11 @@ def _sparsest(p: int, parents) -> SpResult:
     a -> k <- b, a < b.  A step adds only edges into k, so adjacency
     inside the prefix and the colliders at its vertices never change:
     the step adds k's edges to the skeleton and, as colliders, the pairs
-    of k's parents nonadjacent in the old one.  A key is a function of
-    the mask, so the groups partition the winners.  Keys are built per
-    class, not per winner, no winner is peeled, and pattern_of runs once
-    per class.
+    of k's parents nonadjacent in the old one: the parents' pairs, as
+    skeleton bits, less the old skeleton, so only real colliders are
+    visited.  A key is a function of the mask, so the groups partition
+    the winners.  Keys are built per class, not per winner, no winner is
+    peeled, and pattern_of runs once per class.
     """
     full = (1 << p) - 1
     best = [0] + [math.inf] * full
@@ -209,11 +210,14 @@ def _sparsest(p: int, parents) -> SpResult:
         for mask in on_path[size]:
             on_path[size - 1].update(mask ^ 1 << k for k, _ in steps[mask])
 
-    @cache  # many steps append the same k with the same parents
-    def step_bits(k: int, found: int) -> tuple:
-        added = sum(1 << (j * p + k) for j in _bits(found))
-        pairs = [(a * p + b, 1 << (a * p + b) * p + k) for a, b in combinations(_bits(found), 2)]
-        return added, added | found << k * p, pairs
+    @cache  # many steps add the same parents
+    def spread(found: int) -> tuple:
+        """Bit j*p for each parent j, and bit a*p + b for each pair of parents a < b."""
+        column = pairs = 0
+        for a in _bits(found):
+            column |= 1 << a * p
+            pairs |= found >> a + 1 << a * p + a + 1
+        return column, pairs
 
     level = {0: {(0, 0): {0}}}  # prefix -> class key -> the class's winners
     for masks in on_path[1:]:
@@ -225,12 +229,13 @@ def _sparsest(p: int, parents) -> SpResult:
                     for key, group in old.items():
                         groups.setdefault(key, set()).update(group)
                     continue
-                added, both, pairs = step_bits(k, found)
+                column, pairs = spread(found)
+                added = column << k
+                both = added | found << k * p
                 for (skel, coll), group in old.items():
-                    for pair, bit in pairs:
-                        if not skel >> pair & 1:
-                            coll |= bit
-                    groups.setdefault((skel | both, coll), set()).update(m | added for m in group)
+                    for pair in _bits(pairs & ~skel):  # k's parents nonadjacent before it
+                        coll |= 1 << pair * p + k
+                    groups.setdefault((skel | both, coll), set()).update(map(added.__or__, group))
         level = walked
     return SpResult._from_search(p, level[full].values())
 

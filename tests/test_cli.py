@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from corpus import edge_cancellation_sem
 from reference import learn_doc
-from spdag.cli import _search_json, _write_json, main
+from spdag.cli import _WINNER_BLOCK, _search_json, _write_json, main
 from spdag.graph import Dag, _bits, format_dag_text
 from spdag.oracle import TestConfig, fisher_z_backend, iter_triples
 from spdag.sem import GenConfig, LinearSem, covariance_of, random_sem, sample
@@ -281,6 +282,32 @@ class TestWriter:
         with redirect_stdout(io.StringIO()) as stdout:
             _write_json(doc, "-", winners)
         assert stdout.getvalue() == expected
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    def test_blocks_of_winners_join_into_the_nested_list_document(self, tmp_path, out):
+        # a complete DAG on 6 vertices: its 720 winners fill two blocks and
+        # part of a third, and each label holds characters JSON escapes
+        p = 6
+        masks = {
+            sum(1 << j * p + k for j, k in combinations(order, 2))
+            for order in permutations(range(p))
+        }
+        assert 2 * _WINNER_BLOCK < len(masks) < 3 * _WINNER_BLOCK
+        result = SpResult(p, masks)
+        label = lambda v: f'"{v}\\\t\u00e9\n/\x00'
+        expected = json.dumps(learn_doc(result, label, 0.5, 3)) + "\n"
+        doc, winners = _search_json(result, label, 0.5, 3)
+        if out == "-":
+            with redirect_stdout(io.StringIO()) as stdout:
+                _write_json(doc, "-", winners)
+            got = stdout.getvalue()
+        else:
+            _write_json(doc, str(tmp_path / "r.json"), winners)
+            got = (tmp_path / "r.json").read_bytes().decode()
+        # named, so that a mismatch reports where the texts part, not a diff of both
+        same = got == expected
+        part = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), len(got))
+        assert same, (part, got[part - 30:part + 30], expected[part - 30:part + 30])
 
     def test_dense_winners_stream_in_little_memory(self, tmp_path):
         # a complete DAG on 8 vertices: each of the 8! orderings is a winner
@@ -808,12 +835,17 @@ class TestErrorSurface:
         ["baseline", "--method", "pc"],
         ["check", "--assumption", "markov"],
     ], ids=["learn", "baseline", "check"])
-    def test_constant_sample_column_is_rejected(self, tmp_path, capsys, command,
-                                                header, name):
+    @pytest.mark.parametrize("scale, what", [
+        (0.0, "is constant"),
+        (1e160, "is too large to square and sum"),
+    ], ids=["constant", "huge"])
+    def test_unusable_sample_column_is_rejected(self, tmp_path, capsys, command,
+                                                header, name, scale, what):
         # centered, c = 5 would be all zeros, which the collinear rule
-        # would make a collider hub: a -> c <- b
+        # would make a collider hub: a -> c <- b; and the squares of
+        # entries near 1e160 overflow, which numpy would warn of on stderr
         x = np.random.default_rng(11).standard_normal((50, 3))
-        x[:, 2] = 5.0
+        x[:, 2] = x[:, 2] * scale + 5.0
         data = tmp_path / "flat.csv"
         np.savetxt(data, x, delimiter=",", header="a,b,c" if header else "",
                    comments="")
@@ -821,9 +853,11 @@ class TestErrorSurface:
         graph.write_text(format_dag_text(Dag(3, [])))
         if command[0] == "check":
             command = command + ["--graph", str(graph)]
-        assert main(command + ["--backend", "fisher", "--input", str(data),
-                               "--out", "-"]) == 1
-        assert capsys.readouterr() == ("", f"error: {data}: column {name} is constant\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + ["--backend", "fisher", "--input", str(data),
+                                   "--out", "-"]) == 1
+        assert capsys.readouterr() == ("", f"error: {data}: column {name} {what}\n")
 
     def test_center_flag_is_gone(self, sem_files, capsys):
         _, cov, _ = sem_files

@@ -109,6 +109,16 @@ class TestCovarianceMatrix:
                 with pytest.raises(ValueError, match=r"entry \(0, 1\) is .*not a finite number"):
                     read(m)
 
+    def test_entries_near_the_float_maximum_do_not_overflow(self):
+        # the triangles are compared and averaged after halving, so a
+        # finite matrix is judged on its entries, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = CovarianceMatrix([[1e308, 1.0], [1.0, 1e308]])
+            assert np.array_equal(m.values, [[1e308, 1.0], [1.0, 1e308]])
+            with pytest.raises(ValueError, match="symmetric"):
+                CovarianceMatrix([[1.0, 1e308], [-1e308, 1.0]])
+
     def test_read_only(self):
         m = CovarianceMatrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -150,6 +150,36 @@ class TestBuildDag:
             build_dag_for_permutation(pi, dsep_backend(CHAIN4))
 
 
+def dp_classes_against_the_checked_constructor(p, route, share, seed):
+    """Search a random model and check the classes the DP built; returns the result.
+
+    The search groups winners by class during its forward walk and trusts
+    them: pattern_of runs once per class and no winner goes through the
+    cycle check. The checked constructor, which classes every winner's
+    Dag with pattern_of, is the oracle.
+    """
+    rng = np.random.default_rng(seed)
+    if p > 1:
+        sigma = covariance_of(random_sem(GenConfig(p, share * (p - 1)), rng))
+    else:
+        sigma = np.eye(1)
+    search = {
+        "gaussian": lambda: sp_search(gaussian_exact_backend(sigma)),
+        "lambda": lambda: sp_search(lambda_backend(sigma, rng.uniform(0.05, 0.4))),
+        "explicit": lambda: sp_search(
+            random_explicit_backends(seed, 1, p=p, density=share * 0.9)[0]),
+        "cholesky": lambda: sp_search_cholesky(sigma),
+    }[route]
+    check = mock.Mock(side_effect=AssertionError("the search cycle-checked a winner"))
+    with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy, \
+            mock.patch("spdag.graph._reach_with", check):
+        r = search()
+    assert spy.call_count == len(r.classes)
+    # the checked constructor also rejects cycles and unequal edge counts
+    assert r.classes == SpResult(p, r.masks).classes
+    return r
+
+
 class TestSpSearch:
     def test_matches_brute_force_on_random_backends(self):
         for i, ci in enumerate(random_explicit_backends(71, 12)):
@@ -178,29 +208,22 @@ class TestSpSearch:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_dp_classes_match_the_checked_constructor(self, p, route, share, seed):
-        # The search groups winners by class during its forward walk and
-        # trusts them: pattern_of runs once per class and no winner goes
-        # through the cycle check. The checked constructor, which classes
-        # every winner's Dag with pattern_of, is the oracle.
-        rng = np.random.default_rng(seed)
-        if p > 1:
-            sigma = covariance_of(random_sem(GenConfig(p, share * (p - 1)), rng))
-        else:
-            sigma = np.eye(1)
-        search = {
-            "gaussian": lambda: sp_search(gaussian_exact_backend(sigma)),
-            "lambda": lambda: sp_search(lambda_backend(sigma, rng.uniform(0.05, 0.4))),
-            "explicit": lambda: sp_search(
-                random_explicit_backends(seed, 1, p=p, density=share * 0.9)[0]),
-            "cholesky": lambda: sp_search_cholesky(sigma),
-        }[route]
-        check = mock.Mock(side_effect=AssertionError("the search cycle-checked a winner"))
-        with mock.patch("spdag.sp.pattern_of", wraps=pattern_of) as spy, \
-                mock.patch("spdag.graph._reach_with", check):
-            r = search()
-        assert spy.call_count == len(r.classes)
-        # the checked constructor also rejects cycles and unequal edge counts
-        assert r.classes == SpResult(p, r.masks).classes
+        dp_classes_against_the_checked_constructor(p, route, share, seed)
+
+    # At p = 8 and 9 the edge masks pass 64 bits and collider bits reach
+    # p**3. Each of these models has v-structures and few enough winners
+    # for the checked constructor; in the last three, classes share a
+    # skeleton, so only the collider bits of the class keys part them.
+    @pytest.mark.parametrize("p, route, share, seed", [
+        (8, "explicit", 0.5, 3), (8, "explicit", 0.25, 0), (8, "gaussian", 0.5, 1),
+        (9, "explicit", 0.25, 2), (9, "gaussian", 0.5, 0), (9, "gaussian", 0.5, 2),
+        (8, "explicit", 0.5, 21), (9, "explicit", 0.25, 12), (9, "explicit", 0.5, 15),
+    ])
+    def test_dp_classes_match_the_checked_constructor_at_eight_and_nine(
+        self, p, route, share, seed
+    ):
+        r = dp_classes_against_the_checked_constructor(p, route, share, seed)
+        assert any(c.v_structures for c in r.classes)
 
     def test_issues_each_distinct_query_once(self):
         # the prefix DP asks about every pair (j, k) given every subset of
