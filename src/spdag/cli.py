@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -322,7 +323,10 @@ def _add_backend_args(sub, *, with_cholesky):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The sp parser, built once per process and shared, so not to be
+    changed: parse_args only reads it and returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="sp", description=__doc__.split("\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -362,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CapacityError, NumericalError, ValueError, OSError) as exc:

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from statistics import NormalDist
 from typing import Iterable, Iterator
 
@@ -652,35 +653,80 @@ def caching_wrapper(inner: CiBackend) -> CachingBackend:
     return CachingBackend(inner)
 
 
+# numpy's default "#" comment marker is turned off: "#" is an ordinary character
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
+
+
+def _blank(line: str) -> bool:
+    """Whether a line holds only commas and whitespace, and so is skipped."""
+    return not line.replace(",", "").strip()
+
+
+def _header(line: str) -> tuple[list[str], bool]:
+    """The first line's stripped fields, and whether they are a header:
+    one of them does not parse as a number."""
+    first = [f.strip() for f in next(csv.reader([line]))]
+    try:
+        for f in first:
+            float(f)
+    except ValueError:
+        return first, True
+    return first, False
+
+
+def _read_csv_lines(path, what: str) -> tuple[np.ndarray, list[str], bool]:
+    """The numbers, the first line's fields and the header flag, read as a
+    list of the lines that are not blank; every error names its cause."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            lines = [line for line in fh if not _blank(line)]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if not lines:
+        raise ValueError(f"{path}: empty {what} file")
+    first, named = _header(lines[0])
+    if named:
+        lines = lines[1:]
+    if not lines:
+        raise ValueError(f"{path}: header but no data rows")
+    try:
+        data = np.loadtxt(lines, **_LOADTXT)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return data, first, named
+
+
 def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
     """The numbers in a CSV file, its column names, and whether a header gave them.
 
     Lines holding only commas and whitespace are skipped. A first line
     with a field that does not parse as a number is a header of column
     names, no two alike; without one column i is named prefix + str(i).
-    Every data row must have the header's width, and a NaN or infinite
-    entry is rejected with its 1-based data row and its column name.
+    "#" starts no comment: in a data row it is a field that is not a
+    number. Every data row must have the header's width, and a NaN or
+    infinite entry is rejected with its 1-based data row and its column
+    name.
+
+    The open file goes straight to numpy, which splits and converts the
+    rows in C. A file whose first line is blank, or that numpy rejects or
+    warns on (a skipped line that is not empty, a ragged row, a field
+    that is not a number, no data rows), is read again by
+    :func:`_read_csv_lines`, which gives the same numbers wherever both
+    read the file and says what is wrong with it otherwise.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = [line for line in fh if line.replace(",", "").strip()]
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
-    if not lines:
-        raise ValueError(f"{path}: empty {what} file")
-    first = [f.strip() for f in next(csv.reader(lines[:1]))]
-    try:
-        for f in first:
-            float(f)
-        named = False
-    except ValueError:
-        named, lines = True, lines[1:]
-    if not lines:
-        raise ValueError(f"{path}: header but no data rows")
-    try:
-        data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    data = None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            head = fh.readline()
+            if not _blank(head):
+                first, named = _header(head)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    data = np.loadtxt(fh if named else chain([head], fh), **_LOADTXT)
+        except (ValueError, Warning, csv.Error):  # a UnicodeDecodeError is a ValueError
+            pass  # data stays None: the line reader decides
+    if data is None:
+        data, first, named = _read_csv_lines(path, what)
     names = first if named else [f"{prefix}{i}" for i in range(data.shape[1])]
     if len(names) != data.shape[1]:
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")

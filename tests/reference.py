@@ -7,10 +7,12 @@ ordering enumeration filters raw permutations, equivalence class
 patterns are read off edge tuples pair by pair, PC keeps its adjacencies
 as Python sets, and the Cholesky route is checked against a factorization
 of the whole permuted precision matrix, one ordering at a time. The `sp learn` document is built whole, as
-nested lists. Production code must agree with these on everything small
-enough to brute force.
+nested lists. The CSV reader is the one that read every file as a list
+of its lines, with numpy's default "#" comment marker. Production code
+must agree with these on everything small enough to brute force.
 """
 
+import csv
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -312,3 +314,48 @@ def learn_doc(result, label, wall_ms, collinear) -> dict:
         "collinear_queries": collinear,
         "wall_time_ms": round(wall_ms, 3),
     }
+
+
+def read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
+    """The numbers in a CSV file, its column names, and whether a header gave them.
+
+    Lines holding only commas and whitespace are skipped. A first line
+    with a field that does not parse as a number is a header of column
+    names, no two alike; without one column i is named prefix + str(i).
+    Every data row must have the header's width, and a NaN or infinite
+    entry is rejected with its 1-based data row and its column name.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            lines = [line for line in fh if line.replace(",", "").strip()]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if not lines:
+        raise ValueError(f"{path}: empty {what} file")
+    first = [f.strip() for f in next(csv.reader(lines[:1]))]
+    try:
+        for f in first:
+            float(f)
+        named = False
+    except ValueError:
+        named, lines = True, lines[1:]
+    if not lines:
+        raise ValueError(f"{path}: header but no data rows")
+    try:
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    names = first if named else [f"{prefix}{i}" for i in range(data.shape[1])]
+    if len(names) != data.shape[1]:
+        raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"{path}: column name {repeated[0]!r} is repeated in the header")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"{path}: data row {r + 1}, column {names[c]} holds {data[r, c]}, "
+            "not a finite number"
+        )
+    return data, names, named

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from corpus import edge_cancellation_sem
 from reference import learn_doc
-from spdag.cli import _WINNER_BLOCK, _search_json, _write_json, main
+from spdag.cli import _WINNER_BLOCK, _search_json, _write_json, build_parser, main
 from spdag.graph import Dag, _bits, format_dag_text
 from spdag.oracle import TestConfig, fisher_z_backend, iter_triples
 from spdag.sem import GenConfig, LinearSem, covariance_of, random_sem, sample
@@ -878,6 +878,18 @@ class TestErrorSurface:
         assert out == "" and err.count("\n") == 1
         assert "alpha must lie in (0,1) with alpha/2 > 0, got 5e-324" in err
 
+    def test_hash_in_samples_is_a_field_not_a_comment(self, tmp_path, capsys):
+        # a data section of only "#" lines once gave numpy's "no data"
+        # warning and then a header width error
+        data = tmp_path / "hash.csv"
+        data.write_text("a,b\n#c\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["learn", "--backend", "fisher", "--input", str(data), "--out", "-"]) == 1
+        assert not caught
+        assert capsys.readouterr() == (
+            "", f"error: {data}: could not convert string '#c' to float64 at row 0, column 1.\n")
+
     def test_repeated_column_name_is_one_line(self, tmp_path, capsys):
         rows = ["a,a,b"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]
         data = tmp_path / "dup.csv"
@@ -981,3 +993,45 @@ class TestErrorSurface:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["min_edges"] == 4
+
+
+class TestParserState:
+    """The parser is built once per process; each main call still parses
+    its own arguments, so no option outlives the call that gave it."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+        argv = ["learn", "--backend", "gaussian", "--input", "cov.csv", "--out", "-"]
+        given = build_parser().parse_args(argv + ["--tol", "1e-6", "--alpha", "0.2"])
+        assert (given.tol, given.alpha) == (1e-6, 0.2)
+        bare = build_parser().parse_args(argv)
+        assert (bare.tol, bare.alpha) == (None, 0.01)
+
+    @pytest.mark.parametrize("backend, flag, value", [
+        ("gaussian", "--tol", "0.3"),
+        ("fisher", "--alpha", "0.9"),
+    ])
+    def test_an_option_does_not_outlive_its_call(self, sem_files, tmp_path, capsys,
+                                                 backend, flag, value):
+        path = sem_files[1]
+        if backend == "fisher":
+            path = tmp_path / "data.csv"
+            np.savetxt(path, golden_sample()[:200], delimiter=",")
+
+        def learn(*more):
+            assert main(["learn", "--backend", backend, "--input", str(path), *more,
+                         "--out", "-"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["wall_time_ms"]
+            return doc
+
+        default, given = learn(), learn(flag, value)
+        assert given != default
+        assert learn() == default
+        with pytest.raises(SystemExit) as exc:  # a usage error between two calls
+            main(["learn", "--backend", backend, "--input", str(path), flag, "x",
+                  "--out", "-"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert learn() == default
+        assert learn(flag, value) == given

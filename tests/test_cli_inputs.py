@@ -143,11 +143,13 @@ def run(argv, files):
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         argv = [os.path.join(work, a) if a in files or a == "grid" else a for a in argv]
-        # a warning would be one more line on stderr, so it fails the run
+        # a warning would be one more line on stderr, so it fails the run; it
+        # is recorded, not raised, so code that catches warnings cannot hide it
         with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err, \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
+        assert not caught, [str(w.message) for w in caught]
         written = 0
         for root, _, names in os.walk(os.path.join(work, "grid")):
             written += sum(os.path.getsize(os.path.join(root, n)) for n in names)

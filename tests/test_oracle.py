@@ -9,6 +9,7 @@ Core claims checked here:
   * each backend factory answers by its documented rule on every triple
   * the caching wrapper is invisible except for the query count
   * covariance containers and CSV loaders validate their inputs
+  * the CSV reader gives what the line-list reader in reference.py gives
 """
 
 import math
@@ -19,10 +20,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from spdag import oracle
 from spdag.baselines import sgs_skeleton
 from spdag.exceptions import NumericalError
 from spdag.graph import Dag, d_separated
@@ -57,7 +59,7 @@ from corpus import (
     marginal_cancellation_sem,
     random_sem_pool,
 )
-from reference import partial_corr_by_inverse, subset_inverse
+from reference import partial_corr_by_inverse, read_csv, subset_inverse
 
 
 def random_spd(rng, p):
@@ -883,3 +885,124 @@ class TestCsvLoaders:
             load_covariance_csv(path)
         with pytest.raises(ValueError):
             load_samples_csv(path)
+
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    def test_hash_is_an_ordinary_character(self, tmp_path, load):
+        # "#" starts no comment: it is part of a header name, and a data
+        # field holding it is not a number, named by its row and column
+        path = tmp_path / "m.csv"
+        path.write_text("#a,b\n1.0,0.5\n0.5,1.0\n")
+        assert load(path)[1] == ["#a", "b"]
+        for text, field, where in [("a,b\n#c\n", "#c", "row 0, column 1"),
+                                   ("a,b\n1.0,0.5\n0.5,1.0 # note\n", "1.0 # note",
+                                    "row 1, column 2")]:
+            path.write_text(text)
+            with warnings.catch_warnings(record=True) as caught, \
+                    pytest.raises(ValueError) as err:
+                warnings.simplefilter("always")
+                load(path)
+            assert not caught
+            assert str(err.value) == (
+                f"{path}: could not convert string {field!r} to float64 at {where}.")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+    def test_clean_files_never_become_a_list_of_lines(self, tmp_path, monkeypatch,
+                                                       header, bom, end):
+        # the line reader is only for files numpy rejects or warns on, and
+        # an empty line is not one of them
+        x = np.random.default_rng(5).standard_normal((200, 4))
+        lines = [",".join(f"{v:.17g}" for v in row) for row in x]
+        lines[100:100] = [""]
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(bom + end.join(["a,b,c,d"] * header + lines) + end)
+        monkeypatch.setattr(oracle, "_read_csv_lines", None)
+        data, names = load_samples_csv(path)
+        assert data.tobytes() == x.tobytes()
+        assert names == (["a", "b", "c", "d"] if header else ["x0", "x1", "x2", "x3"])
+
+
+# CSV fields: numbers, numbers spread over two lines by a quote (one with a
+# skipped line inside), non-finite values, non-numbers, and "#"s
+NUMBERS = ["0", "1", "-2.5", "1e-3", " 3 ", '"4"', "1e308", "-0.0", "5.", '"6\n"',
+           '"\n7"', '"8\n\n"']
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"]
+JUNK = ["x", "", " ", '""', '"9\n,\n"', "1#2", "#", "#c", "4 # note"]
+# header names: repeated, a number, quoted with the separator or a newline, with "#"
+NAMES = ["a", "b", "c", " d ", "a", '"e,f"', "1", '"g\nh"', "#i", "#"]
+# lines of only commas and whitespace, which the reader skips
+SKIPPED = ["", " ", "\t", ",", " , ", ",,", "\x0c"]
+ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A small CSV text, perhaps under a header, at times spoilt: a row of
+    another width, a field not a finite number, a skipped line anywhere,
+    mixed line ends or none at the end, and a byte order mark."""
+    p = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    number = st.one_of(finite, finite, finite, st.sampled_from(NUMBERS))
+    rows = [[draw(number) for _ in range(p)] for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        width = max(1, p + draw(st.sampled_from([0, 0, 0, -1, 1])))
+        rows.insert(0, [draw(st.sampled_from(NAMES)) for _ in range(width)])
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NON_FINITE + JUNK))
+    if rows and draw(st.integers(0, 5)) == 0:
+        row = draw(st.sampled_from(rows))
+        row.append("1") if draw(st.booleans()) or len(row) == 1 else row.pop()
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SKIPPED)))
+    ends = draw(st.lists(st.sampled_from(ENDS), min_size=1, max_size=2))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if lines and draw(st.integers(0, 3)) == 0:
+        text = text.rstrip("\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestCsvReaderAgainstLines:
+    """_read_csv hands the open file to numpy and reads the lines again
+    only where numpy rejects or warns; the reader that always read a list
+    of lines, reference.read_csv, must agree with it on every text.
+
+    The one rule that changed is "#": the reference passed numpy's
+    default comment marker through, and "#" is now an ordinary character.
+    So each text is checked against the reference on the same text with
+    every "#" made a "z", a letter no text here otherwise holds, which no
+    number holds either and which no reader treats specially.
+    """
+
+    @staticmethod
+    def outcome(read, path):
+        """The numbers' bits, the names and the header flag, or the error;
+        a warning, which sp would print as more lines, fails the test."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                data, names, named = read(path, "sample", "x")
+                got = data.shape, data.tobytes(), names, named
+            except ValueError as err:
+                got = str(err).replace(str(path), "PATH")
+        assert not caught, [str(w.message) for w in caught]
+        return got
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_same_numbers_names_and_errors(self, tmp_path, text):
+        assert "z" not in text
+        path, ref_path = tmp_path / "data.csv", tmp_path / "ref.csv"
+        for where, body in ((path, text), (ref_path, text.replace("#", "z"))):
+            with open(where, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        got = self.outcome(oracle._read_csv, path)
+        if isinstance(got, str):
+            got = got.replace("#", "z")
+        else:
+            got = got[:2] + ([name.replace("#", "z") for name in got[2]], got[3])
+        assert got == self.outcome(read_csv, ref_path)
