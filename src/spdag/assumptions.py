@@ -5,7 +5,9 @@ conditioning sets, all candidate DAGs) and returns a uniform report:
 whether the assumption holds, and if not, up to MAX_WITNESSES concrete
 counterexamples plus the total violation count.  The caps keep the
 scans to desk scale; these functions exist to validate theory on small
-instances, not to run inside experiments.
+instances, not to run inside experiments. Scans over triples take the
+search's cap, PERMUTATION_CAP; SMR and P-minimality list every DAG and
+take ENUMERATION_CAP.
 
 Each checker is a guard plus its definition. They share one Markov
 test, which the SMR and minimality checks run first; one sweep over
@@ -38,11 +40,14 @@ from .oracle import (
     iter_triples,
     lambda_backend,
 )
+from .sp import PERMUTATION_CAP
 
 MAX_WITNESSES = 20
+ENUMERATION_CAP = 5  # 29,281 DAGs on 5 vertices, about 3.8 million on 6
 
 __all__ = [
     "MAX_WITNESSES",
+    "ENUMERATION_CAP",
     "AssumptionReport",
     "Witness",
     "check_adjacency_faithfulness",
@@ -160,7 +165,7 @@ def _independent_pairs(g: Dag, ci: CiBackend, pairs, why, connected: bool = Fals
 
 def check_markov(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Every separation the graph encodes must hold in the backend."""
-    _checked(g, ci, 6, "the Markov check")
+    _checked(g, ci, PERMUTATION_CAP, "the Markov check")
     return _report(_markov_violations(g, ci))
 
 
@@ -171,7 +176,7 @@ def check_smr(g_star: Dag, ci: CiBackend) -> AssumptionReport:
     Markov DAG with at most as many edges sits in a different
     equivalence class.
     """
-    _checked(g_star, ci, 5, "the sparsest-representation check")
+    _checked(g_star, ci, ENUMERATION_CAP, "the sparsest-representation check")
     budget = g_star.num_edges
 
     def rivals(ci):
@@ -199,19 +204,19 @@ def _orientation(g: Dag, ci: CiBackend):
 
 def check_adjacency_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Adjacent vertices must stay dependent under every conditioning set."""
-    _checked(g, ci, 6, "the adjacency-faithfulness check")
+    _checked(g, ci, PERMUTATION_CAP, "the adjacency-faithfulness check")
     return _report(_adjacency(g, ci))
 
 
 def check_orientation_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Pairs spanning an unshielded triple must track d-connection."""
-    _checked(g, ci, 6, "the orientation-faithfulness check")
+    _checked(g, ci, PERMUTATION_CAP, "the orientation-faithfulness check")
     return _report(_orientation(g, ci))
 
 
 def check_restricted_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     """Adjacency- and orientation-faithfulness combined."""
-    _checked(g, ci, 6, "the restricted-faithfulness check")
+    _checked(g, ci, PERMUTATION_CAP, "the restricted-faithfulness check")
     return _report(chain(_adjacency(g, ci), _orientation(g, ci)))
 
 
@@ -222,7 +227,7 @@ def check_triangle_faithfulness(g: Dag, ci: CiBackend) -> AssumptionReport:
     so this is adjacency-faithfulness over the edges of triangles.
     Triangle-free graphs hold vacuously.
     """
-    _checked(g, ci, 6, "the triangle-faithfulness check")
+    _checked(g, ci, PERMUTATION_CAP, "the triangle-faithfulness check")
     pairs = sorted({pair for t in triangles(g) for pair in combinations(t, 2)})
     why = "in-triangle pair {j},{k} given {s}: connected in the graph but independent"
     return _report(_independent_pairs(g, ci, pairs, why))
@@ -235,7 +240,7 @@ def check_sgs_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
     sub-DAG exists exactly when some one-edge deletion stays Markov;
     the sweep over single deletions is therefore complete.
     """
-    _checked(g, ci, 6, "the minimality check")
+    _checked(g, ci, PERMUTATION_CAP, "the minimality check")
 
     def spare_edges(ci):
         for j, k in sorted(g.edges):
@@ -250,8 +255,12 @@ def check_sgs_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
 
 
 def check_p_minimality(g: Dag, ci: CiBackend) -> AssumptionReport:
-    """No Markov DAG may encode a strict superset of g's separations."""
-    _checked(g, ci, 5, "the preference-minimality check")
+    """No Markov DAG may encode a strict superset of g's separations.
+
+    It stays enumerative: every DAG on g's vertices is a candidate, so it
+    is capped at ENUMERATION_CAP.
+    """
+    _checked(g, ci, ENUMERATION_CAP, "the preference-minimality check")
     base = d_separation_set(g)
 
     def preferred(ci):

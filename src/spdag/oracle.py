@@ -226,27 +226,24 @@ def _rank(mask: int, v: int) -> int:
 def _layout(p: int) -> tuple:
     """The subset table's index arrays for p <= MAX_P_CEILING, shared read-only.
 
-    Subsets of one size are numbered in mask order. members[s][i] holds
-    the i-th smallest member of each subset of size s, parents[s] the
-    number of each one less its largest member, row[mask] a subset's
-    number within its size, and rev[mask] the mask with its p bits in
-    reverse order: subsets of one size in descending rev order are in
-    the order combinations lists them, and rev[rev[mask]] == mask.
+    Subsets of one size are numbered in the order combinations lists
+    them, which is the order SGS asks them. members[s][i] holds the i-th
+    smallest member of each subset of size s, parents[s] the number of
+    each one less its largest member, and row[mask] a subset's number
+    within its size.
     """
-    every = np.arange(1 << p)
-    bits = (every[:, None] >> np.arange(p) & 1).astype(bool)
-    sizes = bits.sum(1)
-    rev = bits[:, ::-1] @ (1 << np.arange(p))
     row = np.zeros(1 << p, dtype=np.intp)
     members, parents = [], []
     for s in range(p + 1):
-        chosen = every[sizes == s]
-        row[chosen] = np.arange(len(chosen))
-        members.append(np.nonzero(bits[chosen])[1].reshape(len(chosen), s).T.copy())
-        parents.append(row[chosen ^ 1 << members[s][-1]] if s else None)
-    for a in members + parents[1:] + [rev]:
+        count = math.comb(p, s)
+        flat = np.fromiter(chain.from_iterable(combinations(range(p), s)), np.intp, count * s)
+        members.append(flat.reshape(count, s).T.copy())
+        masks = (1 << members[s]).sum(0)
+        row[masks] = np.arange(count)
+        parents.append(row[masks ^ 1 << members[s][-1]] if s else None)
+    for a in members + parents[1:]:
         a.setflags(write=False)
-    return members, parents, tuple(row.tolist()), rev
+    return members, parents, tuple(row.tolist())
 
 
 @cache
@@ -312,11 +309,11 @@ class _SubsetTable:
     """The inverse K = corr[T, T]^-1 of each vertex subset T, built by bordering.
 
     Up to MAX_P_CEILING vertices, the first ask for a subset of size s
-    inverts every subset of that size from those of size s - 1, and the
-    s x s x C(p, s) stack is kept, numbered as in _layout. Above it a
-    2^p index would not fit, so each asked subset is bordered on its own,
-    to the same bits. Every K is exactly symmetric, as a border step adds
-    (u_i u_j) / c to K_ij and K_ji alike.
+    inverts every subset of that size from those of size s - 1 and keeps
+    the s x s x C(p, s) stack, in _layout's combinations order. Above it
+    a 2^p index would not fit, so each asked subset is bordered on its
+    own, to the same bits. Every K is exactly symmetric, as a border step
+    adds (u_i u_j) / c to K_ij and K_ji alike.
     """
 
     def __init__(self, corr: np.ndarray):
@@ -334,7 +331,7 @@ class _SubsetTable:
         """The stack of inverses of every subset of size s."""
         levels = self._levels
         if s >= len(levels):
-            members, parents, _, _ = self._layout
+            members, parents, _ = self._layout
             for t in range(len(levels), s + 1):
                 rest, v = members[t][:-1], members[t][-1]
                 levels.append(_border(levels[-1][:, :, parents[t]], self._corr, rest, v))
@@ -440,19 +437,18 @@ class PartialCorrelationBackend(CiBackend):
         mask = s_mask | 1 << j | 1 << k
         return _rho_at(*self._table.locate(mask), mask, j, k)
 
-    def _rule(self, rho: float, size: int) -> float:
-        """The statistic given |S| = size; inf when |rho| >= 1 or NaN."""
-        if not abs(rho) < 1:
-            return math.inf
+    def _rule(self, rho, size: int, atanh=math.atanh):
+        """The statistic given |S| = size, of a float or, with np.arctanh, of an array."""
         if self._n is None:
             return abs(rho)
-        return math.sqrt(self._n - size - 3) * abs(math.atanh(rho))
+        return math.sqrt(self._n - size - 3) * abs(atanh(rho))
 
-    def _independent(self, t: float) -> bool:
+    def _independent(self, t):
         return t <= self._level if self._n is None else t < self._level
 
     def _statistic(self, j: int, k: int, s_mask: int) -> float:
-        return self._rule(self._rho(j, k, s_mask), s_mask.bit_count())
+        rho = self._rho(j, k, s_mask)
+        return self._rule(rho, s_mask.bit_count()) if abs(rho) < 1 else math.inf  # NaN too
 
     def statistic(self, j, k, s=()) -> float:
         """The number the rule compares with the level; inf when collinear.
@@ -489,23 +485,21 @@ class PartialCorrelationBackend(CiBackend):
         """(not collinear, is_independent) for member pairs (a, b) of stacked subsets.
 
         Entry [i, t] answers for members a[i] and b[i] of the t-th subset,
-        given its other members. The same IEEE operations as the scalar
-        path give the same bits. The Fisher statistic takes np.arctanh,
-        which may differ from math.atanh in the last place, so where it
-        lies within a relative 1e-9 of the level it is taken again with
-        math.atanh, as the scalar path does.
+        given its other members, by _rule and _independent. rho takes the
+        scalar path's IEEE operations, so it has the same bits. The Fisher
+        statistic takes np.arctanh, which may differ from math.atanh in the
+        last place, so a statistic within a relative 1e-9 of the level is
+        taken again by _rule from the float, as the scalar path takes it.
         """
         d = inv.diagonal().T
         rho = -inv[a, b] / np.sqrt(d[a] * d[b])
         ok = np.abs(rho) < 1  # NaN fails too
-        if self._n is None:
-            return ok, ok & (np.abs(rho) <= self._level)
-        scale = math.sqrt(self._n - (len(inv) - 2) - 3)
+        size = len(inv) - 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = scale * np.abs(np.arctanh(rho))
+            t = self._rule(rho, size, np.arctanh)
         near = ok & (np.abs(t - self._level) <= 1e-9 * self._level)
-        t[near] = [scale * abs(math.atanh(r)) for r in rho[near].tolist()]
-        return ok, ok & (t < self._level)
+        t[near] = [self._rule(r, size) for r in rho[near].tolist()]
+        return ok, ok & self._independent(t)
 
     def _note_collinear(self, members, a, b, where) -> None:
         """Record the queries of member pairs (a, b), a < b, where `where` holds.
@@ -524,18 +518,18 @@ class PartialCorrelationBackend(CiBackend):
         """Each pair's first separating set in SGS's order, by the rule of is_independent.
 
         SGS asks (j, k), j < k, given each S in V - {j, k}, smaller sets
-        first and sets of one size in combinations order, that is by
-        descending bit-reversed mask, and stops at the first independent
-        one. Here every pair of a whole subset size |T| = |S| + 2 is
-        decided at once, and each pair still open keeps its first
-        independent T - {j, k} of that size, until no pair is open. The
-        collinear queries recorded are the ones that walk asks: a pair's
-        at a size up to its separator there, or all when it has none.
-        Returns {(j, k): S} over the separated pairs; p may not exceed
-        MAX_P_CEILING.
+        first and sets of one size in combinations order, and stops at the
+        first independent one. The table numbers the subsets T of one size
+        in that order, which T - {j, k} keeps. So every pair of a whole
+        subset size |T| = |S| + 2 is decided at once, and each pair still
+        open keeps its lowest-numbered independent T, until no pair is
+        open. The collinear queries recorded are the ones that walk asks:
+        a pair's numbered before its separator there, or all when it has
+        none. Returns {(j, k): S} over the separated pairs; p may not
+        exceed MAX_P_CEILING.
         """
         p = self.p
-        members, _, _, rev = _layout(p)
+        members = _layout(p)[0]
         open_ = np.triu(np.ones((p, p), bool), 1).ravel()  # at j * p + k
         found = {}
         for s in range(2, p + 1):
@@ -543,17 +537,17 @@ class PartialCorrelationBackend(CiBackend):
                 break
             a, b = _upper(s)
             ok, independent = self._decide(self._table._level(s), a, b)
-            pair = members[s][a] * p + members[s][b]  # a row per member pair
-            key = rev[(1 << members[s]).sum(0)]  # a column per subset
+            pair = members[s][a] * p + members[s][b]  # a row per member pair, a column per subset
+            count = pair.shape[1]
             live = open_[pair]
             i, t = np.nonzero(live & independent)
-            first = np.full(p * p, -1)
-            np.maximum.at(first, pair[i, t], key[t])
-            self._note_collinear(members[s], a, b, live & ~ok & (key > first[pair]))
-            done = np.flatnonzero(first >= 0)
-            for q, mask in zip(done.tolist(), rev[first[done]].tolist()):
+            first = np.full(p * p, count)
+            np.minimum.at(first, pair[i, t], t)
+            self._note_collinear(members[s], a, b, live & ~ok & (np.arange(count) < first[pair]))
+            done = np.flatnonzero(first < count)
+            for q, number in zip(done.tolist(), first[done].tolist()):
                 j, k = divmod(q, p)
-                found[j, k] = frozenset(_bits(mask ^ 1 << j ^ 1 << k))
+                found[j, k] = frozenset(members[s][:, number].tolist()) - {j, k}
             open_[done] = False
         return found
 
@@ -684,7 +678,10 @@ def _read_csv_lines(path, what: str) -> tuple[np.ndarray, list[str], bool]:
         raise ValueError(f"{path}: {err}") from None
     if not lines:
         raise ValueError(f"{path}: empty {what} file")
-    first, named = _header(lines[0])
+    try:
+        first, named = _header(lines[0])
+    except csv.Error as err:  # a field over the csv module's size limit
+        raise ValueError(f"{path}: {err}") from None
     if named:
         lines = lines[1:]
     if not lines:

@@ -108,7 +108,24 @@ class TestMarkov:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            check_markov(Dag(7), explicit_backend(7, []))
+            check_markov(Dag(10), explicit_backend(10, []))
+
+
+# a sparse graph at the search's cap, with a triangle 0-1-2, the
+# unshielded colliders 2 -> 3 <- 4 and 4 -> 8 <- 7, and a chain between
+SPARSE9 = Dag(9, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 3), (3, 5), (5, 6), (6, 7), (4, 8), (7, 8)])
+
+
+@pytest.mark.parametrize("check", [
+    check_markov,
+    check_adjacency_faithfulness,
+    check_orientation_faithfulness,
+    check_restricted_faithfulness,
+    check_triangle_faithfulness,
+    check_sgs_minimality,
+])
+def test_triple_scans_hold_on_a_faithful_oracle_at_the_search_cap(check):
+    assert check(SPARSE9, dsep_backend(SPARSE9)).holds
 
 
 class TestFaithfulnessFamily:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdag.baselines import (
+    SKELETON_CAP,
     orient_v_structures,
     pc_pattern,
     pc_skeleton,
@@ -107,6 +108,21 @@ class TestSgsSkeleton:
         got = sgs_skeleton(caching_wrapper(table) if cached else table)
         assert got == sgs_skeleton(Opaque(asked))
         assert table._collinear == asked._collinear
+
+    def test_table_route_answers_as_asking_on_a_copied_column_at_the_cap(self):
+        # As the benchmark's collinear input: a sparse model on 11
+        # variables, n = 10,000, and a copy of its first column.
+        rng = np.random.default_rng(12)
+        q = SKELETON_CAP - 1
+        weights = np.triu(rng.uniform(0.25, 1, (q, q)) * rng.choice((-1, 1), (q, q)), 1)
+        weights *= rng.random((q, q)) < 2 / (q - 1)  # about two neighbours a vertex
+        x = rng.standard_normal((10_000, q)) @ np.linalg.inv(np.eye(q) - weights)
+        x = np.column_stack([x, x[:, 0]])
+        table, asked = (fisher_z_backend(x, TestConfig(alpha=0.01)) for _ in range(2))
+        got = sgs_skeleton(caching_wrapper(table))
+        assert got == sgs_skeleton(Opaque(asked))
+        assert table._collinear == asked._collinear
+        assert len(table._collinear) > 0 and max(map(len, got[1].values())) >= 2
 
     def test_chain_recovery(self):
         sk, t = sgs_skeleton(dsep_backend(CHAIN3))

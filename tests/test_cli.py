@@ -902,6 +902,22 @@ class TestErrorSurface:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command", [
+        ["learn", "--backend", "fisher"],
+        ["learn", "--backend", "gaussian"],
+        ["baseline", "--method", "sgs", "--backend", "fisher"],
+    ])
+    def test_header_field_over_the_csv_limit_is_one_line(self, tmp_path, capsys, command):
+        # a 200,000-character name passes the csv module's field limit
+        rows = ["a" * 200_000 + ",b,c"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(command + ["--input", str(data), "--out", str(tmp_path / "r.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {data}: ") and "field larger than field limit" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", [
         ["learn", "--backend", "gaussian"],
         ["learn", "--backend", "lambda", "--lambda", "0.1"],
         ["learn", "--backend", "cholesky"],

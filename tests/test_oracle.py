@@ -43,6 +43,7 @@ from spdag.oracle import (
     load_samples_csv,
     partial_correlation,
     PartialCorrelationBackend,
+    _layout,
     _standardize,
     _SubsetTable,
 )
@@ -423,7 +424,7 @@ class TestFisherZ:
         be = fisher_z_backend(rng.standard_normal((n, p)), TestConfig(alpha=alpha))
         levels, queries = [], []
         for size in range(p + 1):
-            subsets = [m for m in range(2**p) if bin(m).count("1") == size]  # the table's order
+            subsets = list(combinations(range(p), size))  # the table's order
             inv = np.repeat(np.eye(size)[:, :, None], len(subsets), axis=2)
             if size >= 2:
                 edge = math.tanh(be._level / math.sqrt(n - (size - 2) - 3))
@@ -432,7 +433,7 @@ class TestFisherZ:
                 rho = (edge + steps * math.ulp(edge)) * rng.choice((-1, 1), steps.shape)
                 inv[a, b] = inv[b, a] = -rho
             levels.append(inv)
-            queries.append([[v for v in range(p) if mask >> v & 1] for mask in subsets])
+            queries.append(subsets)
         be._table._levels = levels
         answers = []
         for size in range(2, p + 1):
@@ -639,6 +640,23 @@ class TestCollinearRule:
 
 
 class TestSubsetInverses:
+    @pytest.mark.parametrize("p", [*range(11), 16])
+    def test_each_size_is_numbered_as_combinations_lists_it(self, p):
+        # SGS asks the subsets of one size in this order, so the table's
+        # lowest-numbered independent subset is SGS's first separator
+        members, parents, row = _layout(p)
+        assert len(members) == len(parents) == p + 1 and len(row) == 2**p
+        for s in range(p + 1):
+            subsets = list(combinations(range(p), s))
+            assert members[s].shape == (s, len(subsets))
+            assert list(map(tuple, members[s].T.tolist())) == subsets
+            masks = [sum(1 << v for v in c) for c in subsets]
+            assert [row[m] for m in masks] == list(range(len(subsets)))
+            if s:
+                assert parents[s].tolist() == [row[m ^ 1 << c[-1]] for m, c in zip(masks, subsets)]
+                assert not members[s].flags.writeable and not parents[s].flags.writeable
+        assert parents[0] is None and not members[0].flags.writeable
+
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 7), mode=st.sampled_from([0, 1, 2]))
     def test_every_inverse_matches_the_reference(self, seed, p, mode):

@@ -10,17 +10,22 @@ of the checkout: for each workload, the runs' correctness and failure
 counts and, for each end-to-end metric, its median and quartiles over
 the runs; and the commit, whether src/, bench/ or tools/ differ from
 it, the Python and numpy versions, the CPU count and the BLAS thread
-setting the runs saw. Exits 1, after writing the file, if a run
-failed or reported a wrong output.
+setting the runs saw; and the bytecode state, which moves setup_s by
+about a third: how many of src/spdag's modules had bytecode in
+__pycache__ that the running Python would load, before the first run
+and after the last, and the value of PYTHONDONTWRITEBYTECODE. Exits 1,
+after writing the file, if a run failed or reported a wrong output.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +53,29 @@ print(json.dumps({{"numpy": numpy.__version__, "blas": f"{{blas['name']}} {{blas
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def modules() -> list[Path]:
+    """The sources of src/spdag that `import spdag.cli` loads: all but __main__.py."""
+    return [f for f in (ROOT / "src" / "spdag").glob("*.py") if f.name != "__main__.py"]
+
+
+def cached_modules() -> int:
+    """How many of modules() have bytecode that this Python would load.
+
+    A timestamp-based .pyc in __pycache__ counts when it carries this
+    Python's magic number and its source's modification time and size.
+    """
+    count = 0
+    for source in modules():
+        try:
+            head = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+        except OSError:
+            continue
+        st = source.stat()
+        stamp = struct.pack("<4xII", int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+        count += head == importlib.util.MAGIC_NUMBER + stamp
+    return count
 
 
 def bench_run(workload: str, seed: int, seconds: float) -> dict:
@@ -94,6 +122,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     runs = {name: [] for name in names}
+    cached_before = cached_modules()
     for seed in SEEDS:
         for name in names:
             result = bench_run(name, seed, seconds)
@@ -111,6 +140,12 @@ def main(argv=None) -> int:
         "changed_since_commit": bool(git("status", "--porcelain", "--", "src", "bench",
                                          "tools")),
         "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(), **env},
+        "bytecode": {
+            "modules": len(modules()),
+            "cached_before": cached_before,
+            "cached_after": cached_modules(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        },
         "workloads": {name: summarize(runs[name], spec["end_to_end"]) for name in names},
     }
     path = ROOT / f"BENCH_{args.n}.json"
