@@ -24,6 +24,7 @@ from itertools import chain, combinations
 
 from .exceptions import CapacityError
 from .graph import (
+    ENUMERATION_CAP,
     Dag,
     _d_separated,
     d_separated,
@@ -43,7 +44,6 @@ from .oracle import (
 from .sp import PERMUTATION_CAP
 
 MAX_WITNESSES = 20
-ENUMERATION_CAP = 5  # 29,281 DAGs on 5 vertices, about 3.8 million on 6
 
 __all__ = [
     "MAX_WITNESSES",

@@ -103,7 +103,7 @@ def _edge_list(edges, label):
 
 def _pattern_json(pat: EquivClassPattern, label):
     return {
-        "skeleton": [[label(j), label(k)] for j, k in sorted(pat.skeleton)],
+        "skeleton": _edge_list(pat.skeleton, label),
         "v_structures": [
             [label(j), label(mid), label(k)] for j, mid, k in sorted(pat.v_structures)
         ],
@@ -114,13 +114,11 @@ def _subject_json(obj, label):
     """Witness subjects hold vertex indices, index tuples, sets, or DAGs."""
     if isinstance(obj, Dag):
         return {"edges": _edge_list(obj.edges, label)}
-    if isinstance(obj, (frozenset, set)):
+    if isinstance(obj, frozenset):
         return sorted((_subject_json(x, label) for x in obj), key=str)
-    if isinstance(obj, (tuple, list)):
+    if isinstance(obj, tuple):
         return [_subject_json(x, label) for x in obj]
-    if isinstance(obj, (int, np.integer)):
-        return label(int(obj))
-    return str(obj)
+    return label(obj)
 
 
 def _write_json(doc, out, winners=None):

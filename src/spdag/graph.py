@@ -43,7 +43,7 @@ __all__ = [
     "load_dag_file",
 ]
 
-ENUMERATION_CAP = 6
+ENUMERATION_CAP = 5  # 29,281 DAGs on 5 vertices, about 3.8 million on 6
 # the largest p a graph file may declare; every search is capped far below it
 GRAPH_TEXT_CAP = 64
 
@@ -419,7 +419,8 @@ def _reach_with(reach: list[int], u: int, v: int) -> list[int]:
     return [r | gained if w == u or r >> u & 1 else r for w, r in enumerate(reach)]
 
 
-def _dag_masks(p: int) -> Iterator[int]:
+@lru_cache(maxsize=None)
+def _dag_masks(p: int) -> tuple[int, ...]:
     """Edge masks of every labeled DAG on p vertices, in enumeration order."""
     pairs = list(combinations(range(p), 2))
 
@@ -433,12 +434,7 @@ def _dag_masks(p: int) -> Iterator[int]:
             if not reach[v] >> u & 1:
                 yield from rec(i + 1, _reach_with(reach, u, v), mask | 1 << (u * p + v))
 
-    return rec(0, [0] * p, 0)
-
-
-@lru_cache(maxsize=8)
-def _cached_dag_masks(p: int) -> tuple[int, ...]:
-    return tuple(_dag_masks(p))
+    return tuple(rec(0, [0] * p, 0))
 
 
 def enumerate_all_dags(p: int) -> Iterator[Dag]:
@@ -449,8 +445,8 @@ def enumerate_all_dags(p: int) -> Iterator[Dag]:
     deterministic: pairs are scanned lexicographically and each pair
     takes the states absent, low to high, high to low. An edge is only
     added when it closes no cycle, so each graph is built from its edge
-    mask without a second acyclicity check. Masks are cached for p <= 5;
-    p = 6 (3.78 million graphs) streams uncached.
+    mask without a second acyclicity check. The masks of each p are
+    listed once per process and cached.
     """
     p = int(p)
     if p < 0:
@@ -460,7 +456,7 @@ def enumerate_all_dags(p: int) -> Iterator[Dag]:
             f"enumerating all DAGs on p={p} vertices exceeds the cap "
             f"({ENUMERATION_CAP}); the count is astronomically large"
         )
-    for mask in _cached_dag_masks(p) if p <= 5 else _dag_masks(p):
+    for mask in _dag_masks(p):
         yield Dag._from_mask(p, mask)
 
 

@@ -226,8 +226,12 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
         items = [v.strip() for v in value.split(",") if v.strip()]
         try:
-            doc[key] = [kind[0](v) for v in items] if isinstance(kind, tuple) else kind(items[0])
-        except (ValueError, IndexError):
+            if isinstance(kind, tuple):
+                doc[key] = [kind[0](v) for v in items]
+            else:
+                (item,) = items  # a scalar key takes exactly one value
+                doc[key] = kind(item)
+        except ValueError:
             raise ValueError(f"line {line_no}: bad value for {key}: {value.strip()!r}") from None
     return config_from_json(doc)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
@@ -705,11 +704,11 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
     name.
 
     The open file goes straight to numpy, which splits and converts the
-    rows in C. A file whose first line is blank, or that numpy rejects or
-    warns on (a skipped line that is not empty, a ragged row, a field
-    that is not a number, no data rows), is read again by
-    :func:`_read_csv_lines`, which gives the same numbers wherever both
-    read the file and says what is wrong with it otherwise.
+    rows in C. A file whose first line is blank, whose header is followed
+    by a blank line or by nothing, or that numpy rejects (a ragged row, a
+    field that is not a number, a blank line that is not empty) is read
+    again by :func:`_read_csv_lines`, which gives the same numbers
+    wherever both read the file and says what is wrong with it otherwise.
     """
     data = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -717,10 +716,10 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
             head = fh.readline()
             if not _blank(head):
                 first, named = _header(head)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    data = np.loadtxt(fh if named else chain([head], fh), **_LOADTXT)
-        except (ValueError, Warning, csv.Error):  # a UnicodeDecodeError is a ValueError
+                row = fh.readline() if named else head
+                if not _blank(row):  # so numpy has a row and never warns of no data
+                    data = np.loadtxt(chain([row], fh), **_LOADTXT)
+        except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
             pass  # data stays None: the line reader decides
     if data is None:
         data, first, named = _read_csv_lines(path, what)

@@ -7,13 +7,16 @@ ordering enumeration filters raw permutations, equivalence class
 patterns are read off edge tuples pair by pair, PC keeps its adjacencies
 as Python sets, and the Cholesky route is checked against a factorization
 of the whole permuted precision matrix, one ordering at a time. The `sp learn` document is built whole, as
-nested lists. The CSV reader is the one that read every file as a list
+nested lists. The l0-penalized optimum is found by an exact score DP
+over vertex subsets, which shares nothing with the ordering search. The CSV reader is the one that read every file as a list
 of its lines, with numpy's default "#" comment marker. Production code
 must agree with these on everything small enough to brute force.
 """
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -224,6 +227,66 @@ def profile_score(g: Dag, sigma) -> float:
         explained = m[k, pa] @ np.linalg.solve(m[np.ix_(pa, pa)], m[pa, k]) if pa else 0.0
         total += np.log(m[k, k] - explained)
     return float(total)
+
+
+def log_residual_variances(sigma) -> dict:
+    """log sigma^2(k | S) for every vertex k and vertex set S not holding k,
+    keyed (k, S as a bitmask): the local scores of the Gaussian profile score."""
+    m = np.asarray(sigma, dtype=float)
+    p = len(m)
+    out = {}
+    for k in range(p):
+        for s in range(1 << p):
+            if s >> k & 1:
+                continue
+            idx = [v for v in range(p) if s >> v & 1]
+            explained = m[k, idx] @ np.linalg.solve(m[np.ix_(idx, idx)], m[idx, k]) if idx else 0.0
+            out[k, s] = math.log(m[k, k] - explained)
+    return out
+
+
+def l0_optimal_masks(sigma, tol: float) -> set:
+    """Edge masks (bit j*p + k for j -> k) of every DAG that minimizes the
+    l0-penalized Gaussian score, sum over k of log sigma^2(k | pa(k)) plus
+    lam times the edge count, for every lam small enough to trade no edge
+    for a log-variance gap above tol: the exact score DP of Silander and
+    Myllymaki (2006, "A simple approach for finding the globally optimal
+    Bayesian network structure").
+
+    In any order of the vertices, k's best parents among its
+    predecessors S are the smallest sets P within S whose local score
+    ties S's to within tol; ties of one size are all kept. Every order
+    reaches the least score sum, log det sigma, so the order DP over
+    prefixes minimizes the parent count, keeps every tied step, and a
+    walk back from the full set collects every optimal DAG.
+    """
+    p = len(np.asarray(sigma))
+    score = log_residual_variances(sigma)
+    by_size = sorted(range(1 << p), key=int.bit_count)
+    best = {}
+    for (k, s), own in score.items():
+        tied = [q for q in by_size if q & ~s == 0 and score[k, q] - own <= tol]
+        best[k, s] = [q for q in tied if q.bit_count() == tied[0].bit_count()]
+    members = [[v for v in range(p) if u >> v & 1] for u in range(1 << p)]
+    cost = {0: 0}
+    for u in by_size[1:]:
+        cost[u] = min(cost[u ^ 1 << k] + best[k, u ^ 1 << k][0].bit_count() for k in members[u])
+
+    @cache
+    def walk(u: int) -> frozenset:
+        """Edge masks of every optimal DAG on the vertex set u."""
+        if not u:
+            return frozenset({0})
+        out = set()
+        for k in members[u]:
+            rest = u ^ 1 << k
+            if cost[rest] + best[k, rest][0].bit_count() == cost[u]:
+                for q in best[k, rest]:
+                    edges = sum(1 << (j * p + k) for j in members[q])
+                    out.update(mask | edges for mask in walk(rest))
+        return frozenset(out)
+
+    return set(walk((1 << p) - 1))
 
 
 @dataclass(frozen=True)

@@ -636,10 +636,13 @@ class TestSimulate:
         ("grid.json", '{"p_list": [4]}', "missing config keys: ['nbhd_list']"),
         ("grid.cfg", "p_list = 4", "missing config keys: ['nbhd_list']"),
         ("grid.json", "[1,2]", "a JSON config must be an object, got a list"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\ntrials = 3, 4\n", "line 3: bad value for trials: '3, 4'"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmaster_seed = 1,2\n", "master_seed: '1,2'"),
+        ("grid.cfg", "p_list=4\nnbhd_list=1\nmode = oracle, sample\n", "mode: 'oracle, sample'"),
     ], ids=["empty-value", "bad-item", "scalar-list", "string-count", "nan-nbhd", "nan-nbhd-json",
             "empty-alphas", "empty-ns", "empty-methods", "underflowing-alpha", "float-p",
             "float-n", "bool-trials", "bool-nbhd", "negative-seed", "missing-key-json",
-            "missing-key-text", "json-list"])
+            "missing-key-text", "json-list", "two-trials", "two-seeds", "two-modes"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, name, text, key):
         cfg = tmp_path / name
         cfg.write_text(text)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdag import assumptions, graph
 from spdag.baselines import orient_v_structures, sgs_skeleton
 from spdag.exceptions import CapacityError, DagTextError
 from spdag.graph import (
@@ -364,6 +365,13 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapacityError):
             next(enumerate_all_dags(7))
+
+    def test_six_vertices_are_refused_before_the_first_graph(self):
+        # the SMR and P-minimality checkers stop at the same cap of 5
+        dags = enumerate_all_dags(6)
+        with pytest.raises(CapacityError, match=r"p=6 vertices exceeds the cap \(5\)"):
+            next(dags)
+        assert graph.ENUMERATION_CAP is assumptions.ENUMERATION_CAP == 5
 
 
 class TestTextFormat:

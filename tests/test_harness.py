@@ -132,6 +132,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2: bad value for trials"):
             config_from_text("p_list=4\ntrials=two\nnbhd_list=1")
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "3, 4"), ("master_seed", "1,2"), ("mode", "oracle, sample"),
+    ])
+    def test_a_scalar_key_takes_exactly_one_value(self, key, value):
+        # the JSON form refuses a list here, and the text form once kept the first
+        with pytest.raises(ValueError) as err:
+            config_from_text(f"p_list=4\nnbhd_list=1\n{key} = {value}\n")
+        assert str(err.value) == f"line 3: bad value for {key}: {value!r}"
+
     @pytest.mark.parametrize("text, missing", [
         ("nbhd_list = 1", "['p_list']"),
         ('{"trials": 2}', "['p_list', 'nbhd_list']"),

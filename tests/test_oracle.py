@@ -923,6 +923,40 @@ class TestCsvLoaders:
             assert str(err.value) == (
                 f"{path}: could not convert string {field!r} to float64 at {where}.")
 
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    @pytest.mark.parametrize("after", ["", "\n", "\n1.0,0.5\n0.5,1.0\n"],
+                             ids=["header-only", "empty-line", "empty-line-then-rows"])
+    def test_a_header_without_a_row_after_it_leaves_warnings_alone(self, tmp_path,
+                                                                     monkeypatch, load, after):
+        # numpy warns on a file with no data rows; the reader sends such a
+        # file to the line reader rather than silence numpy, so numpy
+        # always runs under the caller's warning filters
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + after.lstrip("\n"))
+        want = load(path) if after.strip() else f"{path}: header but no data rows"
+        path.write_text("a,b\n" + after)
+        loadtxt = np.loadtxt
+
+        def loadtxt_under_the_same_filters(*args, **kwargs):
+            assert warnings.filters is filters and warnings.filters == before
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_under_the_same_filters)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters, before = warnings.filters, list(warnings.filters)
+            try:
+                got = load(path)
+            except ValueError as err:
+                got = str(err)
+            assert warnings.filters is filters and warnings.filters == before
+        assert not caught, [str(w.message) for w in caught]
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[1] == want[1] == ["a", "b"]
+            assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
     @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])

@@ -9,17 +9,20 @@ falls on all of them alike. It then writes BENCH_<N>.json at the root
 of the checkout: for each workload, the runs' correctness and failure
 counts and, for each end-to-end metric, its median and quartiles over
 the runs; and the commit, whether src/, bench/ or tools/ differ from
-it, the Python and numpy versions, the CPU count and the BLAS thread
-setting the runs saw; and the bytecode state, which moves setup_s by
-about a third: how many of src/spdag's modules had bytecode in
-__pycache__ that the running Python would load, before the first run
-and after the last, and the value of PYTHONDONTWRITEBYTECODE. Exits 1,
-after writing the file, if a run failed or reported a wrong output.
+it, a SHA-256 of the files git tracks there as they stand (which names
+the measured tree before it is committed), the Python and numpy
+versions, the CPU count and the BLAS thread setting the runs saw; and
+the bytecode state, which moves setup_s by about a third: how many of
+src/spdag's modules had bytecode in __pycache__ that the running Python
+would load, before the first run and after the last, and the value of
+PYTHONDONTWRITEBYTECODE. Exits 1, after writing the file, if a run
+failed or reported a wrong output.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -32,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
+TREE = ("src", "bench", "tools")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LEFT_OUT = (
     "Not recorded yet: the traced layer rows (bench/run.py --trace 1) and the "
@@ -50,9 +54,19 @@ print(json.dumps({{"numpy": numpy.__version__, "blas": f"{{blas['name']}} {{blas
 """
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def git(*args, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def tree_sha256(root: Path = ROOT) -> str:
+    """SHA-256 over the sorted paths and current bytes of the files git
+    tracks under TREE; an untracked file, such as bytecode, is left out."""
+    digest = hashlib.sha256()
+    for name in sorted(filter(None, git("ls-files", "-z", "--", *TREE, root=root).split("\0"))):
+        data = (root / name).read_bytes() if (root / name).is_file() else b""
+        digest.update(b"%s\0%d\0" % (name.encode(), len(data)) + data)
+    return digest.hexdigest()
 
 
 def modules() -> list[Path]:
@@ -137,8 +151,8 @@ def main(argv=None) -> int:
                 "by tools/record_bench.py.",
         "left_out": LEFT_OUT,
         "commit": git("rev-parse", "HEAD"),
-        "changed_since_commit": bool(git("status", "--porcelain", "--", "src", "bench",
-                                         "tools")),
+        "changed_since_commit": bool(git("status", "--porcelain", "--", *TREE)),
+        "tree_sha256": tree_sha256(),
         "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(), **env},
         "bytecode": {
             "modules": len(modules()),
