@@ -30,7 +30,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, dropwhile
 from statistics import NormalDist
 from typing import Iterable, Iterator
 
@@ -83,12 +83,17 @@ class CovarianceMatrix:
 
     Construction rejects a NaN or infinite entry, symmetrizes within a
     1e-12 relative tolerance, confirms positive definiteness by
-    factorizing, and freezes the entries.
+    factorizing, and freezes the entries. A CovarianceMatrix passed in
+    has been through all of that, so its frozen entries are shared as
+    they are.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
+        if isinstance(values, CovarianceMatrix):
+            self._values = values.values
+            return
         a = np.array(values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -227,22 +232,22 @@ def _layout(p: int) -> tuple:
 
     Subsets of one size are numbered in the order combinations lists
     them, which is the order SGS asks them. members[s][i] holds the i-th
-    smallest member of each subset of size s, parents[s] the number of
-    each one less its largest member, and row[mask] a subset's number
-    within its size.
+    smallest member of each subset of size s, masks[s] each one's vertex
+    mask, parents[s] the number of each one less its largest member, and
+    row[mask] a subset's number within its size.
     """
     row = np.zeros(1 << p, dtype=np.intp)
-    members, parents = [], []
+    members, masks, parents = [], [], []
     for s in range(p + 1):
         count = math.comb(p, s)
         flat = np.fromiter(chain.from_iterable(combinations(range(p), s)), np.intp, count * s)
         members.append(flat.reshape(count, s).T.copy())
-        masks = (1 << members[s]).sum(0)
-        row[masks] = np.arange(count)
-        parents.append(row[masks ^ 1 << members[s][-1]] if s else None)
-    for a in members + parents[1:]:
+        masks.append((1 << members[s]).sum(0))
+        row[masks[s]] = np.arange(count)
+        parents.append(row[masks[s] ^ 1 << members[s][-1]] if s else None)
+    for a in members + masks + parents[1:]:
         a.setflags(write=False)
-    return members, parents, tuple(row.tolist())
+    return members, masks, parents, tuple(row.tolist())
 
 
 @cache
@@ -330,7 +335,7 @@ class _SubsetTable:
         """The stack of inverses of every subset of size s."""
         levels = self._levels
         if s >= len(levels):
-            members, parents, _ = self._layout
+            members, _, parents, _ = self._layout
             for t in range(len(levels), s + 1):
                 rest, v = members[t][:-1], members[t][-1]
                 levels.append(_border(levels[-1][:, :, parents[t]], self._corr, rest, v))
@@ -339,13 +344,13 @@ class _SubsetTable:
     def locate(self, mask: int) -> tuple[np.ndarray, int]:
         """A stack of inverses holding T's, and T's number in it."""
         if self._layout is not None:
-            return self._level(mask.bit_count()), self._layout[2][mask]
+            return self._level(mask.bit_count()), self._layout[3][mask]
         inv = self._single.get(mask)
         if inv is None:
             inv = self._single[mask] = _bordered(self._corr, mask)
         return inv, 0
 
-    def parent_table(self, rule) -> list:
+    def parent_table(self, rule) -> np.ndarray:
         """Every step's parent mask, at index T*p + k for each k in T.
 
         For each size s >= 2 the stack of inverses of all subsets T of
@@ -357,13 +362,12 @@ class _SubsetTable:
         p at MAX_P_CEILING, so the table keeps every size.
         """
         p = self._corr.shape[0]
-        members = self._layout[0]
+        members, masks = self._layout[:2]
         table = np.zeros(p << p, dtype=np.int64)
         for s in range(2, p + 1):
             dependent = rule(self._level(s), members[s]) & ~np.eye(s, dtype=bool)[:, :, None]
-            weights = 1 << members[s]
-            table[weights.sum(0) * p + members[s]] = np.einsum("jkt,jt->kt", dependent, weights)
-        return table.tolist()
+            table[masks[s] * p + members[s]] = np.einsum("jkt,jt->kt", dependent, 1 << members[s])
+        return table
 
 
 def partial_correlation(sigma, j: int, k: int, s: Iterable[int] = ()) -> float:
@@ -464,7 +468,7 @@ class PartialCorrelationBackend(CiBackend):
             return False
         return self._independent(t)
 
-    def parent_table(self) -> list:
+    def parent_table(self) -> np.ndarray:
         """The search's flat table of parent masks, by the rule of is_independent."""
         return self._table.parent_table(self._dependent)
 
@@ -655,34 +659,34 @@ def _blank(line: str) -> bool:
     return not line.replace(",", "").strip()
 
 
-def _header(line: str) -> tuple[list[str], bool]:
-    """The first line's stripped fields, and whether they are a header:
-    one of them does not parse as a number."""
-    first = [f.strip() for f in next(csv.reader([line]))]
+def _header(lines: Iterator[str]) -> tuple[list[str], bool, list[str]]:
+    """The first CSV record of lines, a quoted field going on over line
+    breaks: its stripped fields, whether they are a header (one of them
+    does not parse as a number), and the lines it spans, all read."""
+    spans: list[str] = []
+    first = [f.strip() for f in next(csv.reader(spans.append(line) or line for line in lines))]
     try:
         for f in first:
             float(f)
     except ValueError:
-        return first, True
-    return first, False
+        return first, True, spans
+    return first, False, spans
 
 
 def _read_csv_lines(path, what: str) -> tuple[np.ndarray, list[str], bool]:
-    """The numbers, the first line's fields and the header flag, read as a
-    list of the lines that are not blank; every error names its cause."""
+    """The numbers, the first record's fields and the header flag, read as
+    a list of the lines that are not blank; every error names its cause."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = [line for line in fh if not _blank(line)]
+            lines = iter(list(dropwhile(_blank, fh)))
+            first, named, spans = _header(lines)
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
-    if not lines:
-        raise ValueError(f"{path}: empty {what} file")
-    try:
-        first, named = _header(lines[0])
+    except StopIteration:
+        raise ValueError(f"{path}: empty {what} file") from None
     except csv.Error as err:  # a field over the csv module's size limit
         raise ValueError(f"{path}: {err}") from None
-    if named:
-        lines = lines[1:]
+    lines = [line for line in chain([] if named else spans, lines) if not _blank(line)]
     if not lines:
         raise ValueError(f"{path}: header but no data rows")
     try:
@@ -695,9 +699,10 @@ def _read_csv_lines(path, what: str) -> tuple[np.ndarray, list[str], bool]:
 def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
     """The numbers in a CSV file, its column names, and whether a header gave them.
 
-    Lines holding only commas and whitespace are skipped. A first line
+    Lines holding only commas and whitespace are skipped. A first record
     with a field that does not parse as a number is a header of column
-    names, no two alike; without one column i is named prefix + str(i).
+    names, no two alike, and a quoted name may hold a line break; without
+    one column i is named prefix + str(i).
     "#" starts no comment: in a data row it is a field that is not a
     number. Every data row must have the header's width, and a NaN or
     infinite entry is rejected with its 1-based data row and its column
@@ -715,10 +720,10 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
         try:
             head = fh.readline()
             if not _blank(head):
-                first, named = _header(head)
-                row = fh.readline() if named else head
-                if not _blank(row):  # so numpy has a row and never warns of no data
-                    data = np.loadtxt(chain([row], fh), **_LOADTXT)
+                first, named, spans = _header(chain([head], fh))
+                rows = [fh.readline()] if named else spans
+                if not _blank(rows[0]):  # so numpy has a row and never warns of no data
+                    data = np.loadtxt(chain(rows, fh), **_LOADTXT)
         except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
             pass  # data stays None: the line reader decides
     if data is None:

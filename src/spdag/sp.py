@@ -6,7 +6,9 @@ dependent on k given the rest of the prefix.  The search scores each
 permutation by the edge count of that DAG and returns every DAG attaining
 the minimum, grouped into equivalence classes.  Because a vertex's
 parents depend only on the set of vertices before it, the minimum over
-the p! orderings is found by a DP over the 2^p prefix sets.
+the p! orderings is found by a DP over the 2^p prefix sets, which numpy
+runs one prefix size at a time, in the subset numbering the parent
+table is built in.
 
 A Gaussian-only variant applies the paper's Cholesky theorem: the DAG an
 ordering induces is the nonzero pattern of the upper unitriangular
@@ -22,10 +24,11 @@ every subset of one size at once.
 
 A dense model has many sparsest orderings (all p! for a complete DAG),
 so winners travel as int edge masks, bit j*p + k standing for the edge
-j -> k, and Dag objects are built only when asked for.  The DP's forward
-walk groups the winners by class as it builds them, so the search calls
-pattern_of once per class; the checked SpResult(p, masks), for masks
-built outside the search, calls it on every mask's Dag instead.
+j -> k, and Dag objects are built only when asked for.  A forward walk
+over the DP's optimal steps groups the winners by class as it builds
+them, so the search calls pattern_of once per class; the checked
+SpResult(p, masks), for masks built outside the search, calls it on
+every mask's Dag instead.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .exceptions import CapacityError
 from .graph import Dag, EquivClassPattern, _bits, pattern_of
 from .oracle import (
@@ -43,6 +48,7 @@ from .oracle import (
     CiBackend,
     CovarianceMatrix,
     PartialCorrelationBackend,
+    _layout,
     _standardize,
     _SubsetTable,
 )
@@ -164,51 +170,53 @@ def build_dag_for_permutation(pi, ci: CiBackend) -> Dag:
     return Dag(len(order), edges)
 
 
-def _sparsest(p: int, parents) -> SpResult:
+def _sparsest(p: int, table) -> SpResult:
     """Subset DP over ordering prefixes, returning every minimal DAG.
 
     In any ordering, vertex k's parents depend only on the set of
-    vertices before it, so parents[T*p + k], for T that set plus k,
+    vertices before it, so table[T*p + k], for T that set plus k,
     scores appending k to the prefix and the minimum over all p!
     orderings is a DP over the 2^p prefix sets (the exact order DP of
     Silander and Myllymaki).  Each entry is a vertex mask, bit j for
-    parent j, so a step's cost is its popcount.  Every tying step is
-    kept, as (k, that mask), the previous prefix being the set without
-    k; the prefixes lying on an optimal ordering are then marked
-    backwards from the full set.
-    One forward walk over them, a prefix size at a time, builds the
-    winners' edge masks, each extension a single OR, so a winner reached
-    by many orderings is held once.  Each prefix maps class keys to the
-    set of its winners with that key: the skeleton (each edge in both
-    directions) and a mask with bit (a*p + b)*p + k for each collider
-    a -> k <- b, a < b.  A step adds only edges into k, so adjacency
-    inside the prefix and the colliders at its vertices never change:
-    the step adds k's edges to the skeleton and, as colliders, the pairs
-    of k's parents nonadjacent in the old one: the parents' pairs, as
-    skeleton bits, less the old skeleton, so only real colliders are
-    visited.  A key is a function of the mask, so the groups partition
-    the winners.  Keys are built per class, not per winner, no winner is
-    peeled, and pattern_of runs once per class.
+    parent j, so a step's cost is its popcount.  The DP runs in numpy a
+    prefix size at a time, over the subset table's numbering: for the
+    prefixes T of size s and each member k, the step from T - {k} costs
+    that prefix's best plus the step's popcount, T's best is the least
+    of them, and every step attaining it ties.  Going back a size at a
+    time from the full set, a tying step into an on-path prefix is kept
+    and marks T - {k} on path.
+    One forward walk over the kept steps, a prefix size at a time,
+    builds the winners' edge masks, each extension a single OR, so a
+    winner reached by many orderings is held once.  Each prefix maps
+    class keys to the set of its winners with that key: the skeleton
+    (each edge in both directions) and a mask with bit (a*p + b)*p + k
+    for each collider a -> k <- b, a < b.  A step adds only edges into
+    k, so adjacency inside the prefix and the colliders at its vertices
+    never change: the step adds k's edges to the skeleton and, as
+    colliders, the pairs of k's parents nonadjacent in the old one: the
+    parents' pairs, as skeleton bits, less the old skeleton, so only
+    real colliders are visited.  A key is a function of the mask, so
+    the groups partition the winners.  Keys are built per class, not per
+    winner, no winner is peeled, and pattern_of runs once per class.
     """
-    full = (1 << p) - 1
-    best = [0] + [math.inf] * full
-    steps: list = [[] for _ in range(full + 1)]
-    for mask in range(full):
-        for k in range(p):
-            if mask >> k & 1:
-                continue
-            nxt = mask | 1 << k
-            found = parents[nxt * p + k]
-            count = best[mask] + found.bit_count()
-            if count < best[nxt]:
-                best[nxt], steps[nxt] = count, []
-            if count == best[nxt]:
-                steps[nxt].append((k, found))
-
-    on_path: list = [set() for _ in range(p)] + [{full}]  # by size, back from the full set
-    for size in range(p, 0, -1):
-        for mask in on_path[size]:
-            on_path[size - 1].update(mask ^ 1 << k for k, _ in steps[mask])
+    members, masks = _layout(p)[:2]
+    ones = np.empty(1 << p, dtype=np.intp)  # popcount, as each subset's size
+    for size, m in enumerate(masks):
+        ones[m] = size
+    best = np.zeros(1 << p, dtype=np.intp)
+    steps = [None]  # by size: each step's parents, previous prefix and tie
+    for size in range(1, p + 1):
+        parents = table[masks[size] * p + members[size]]
+        prev = masks[size] ^ 1 << members[size]
+        cost = best[prev] + ones[parents]
+        best[masks[size]] = low = cost.min(0)
+        steps.append((parents, prev, cost == low))
+    on = np.zeros(1 << p, dtype=bool)
+    on[-1] = True
+    for size in range(p, 0, -1):  # back from the full set
+        _, prev, tie = steps[size]
+        tie &= on[masks[size]]
+        on[prev[tie]] = True
 
     @cache  # many steps add the same parents
     def spread(found: int) -> tuple:
@@ -220,24 +228,27 @@ def _sparsest(p: int, parents) -> SpResult:
         return column, pairs
 
     level = {0: {(0, 0): {0}}}  # prefix -> class key -> the class's winners
-    for masks in on_path[1:]:
-        walked = {mask: {} for mask in masks}
-        for mask, groups in walked.items():
-            for k, found in steps[mask]:
-                old = level[mask ^ 1 << k]
-                if not found:  # no edge added: keys and winners carry over
-                    for key, group in old.items():
-                        groups.setdefault(key, set()).update(group)
-                    continue
-                column, pairs = spread(found)
-                added = column << k
-                both = added | found << k * p
-                for (skel, coll), group in old.items():
-                    for pair in _bits(pairs & ~skel):  # k's parents nonadjacent before it
-                        coll |= 1 << pair * p + k
-                    groups.setdefault((skel | both, coll), set()).update(map(added.__or__, group))
+    for size in range(1, p + 1):
+        parents, _, tie = steps[size]
+        t, i = np.nonzero(tie.T)  # the kept steps, prefix by prefix
+        kept = zip(masks[size][t].tolist(), members[size][i, t].tolist(), parents[i, t].tolist())
+        walked = {}
+        for mask, k, found in kept:
+            groups = walked.setdefault(mask, {})
+            old = level[mask ^ 1 << k]
+            if not found:  # no edge added: keys and winners carry over
+                for key, group in old.items():
+                    groups.setdefault(key, set()).update(group)
+                continue
+            column, pairs = spread(found)
+            added = column << k
+            both = added | found << k * p
+            for (skel, coll), group in old.items():
+                for pair in _bits(pairs & ~skel):  # k's parents nonadjacent before it
+                    coll |= 1 << pair * p + k
+                groups.setdefault((skel | both, coll), set()).update(map(added.__or__, group))
         level = walked
-    return SpResult._from_search(p, level[full].values())
+    return SpResult._from_search(p, level[(1 << p) - 1].values())
 
 
 def _check_cap(p: int, max_p: int) -> None:
@@ -275,7 +286,7 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
             if not is_independent(j, k, tuple(_bits(t ^ 1 << j ^ 1 << k))):
                 table[t * p + k] |= 1 << j
                 table[t * p + j] |= 1 << k
-    return _sparsest(p, table)
+    return _sparsest(p, np.array(table, dtype=np.int64))
 
 
 def sp_search_cholesky(

@@ -6,7 +6,9 @@ definition verbatim, graph enumeration filters raw adjacency matrices,
 ordering enumeration filters raw permutations, equivalence class
 patterns are read off edge tuples pair by pair, PC keeps its adjacencies
 as Python sets, and the Cholesky route is checked against a factorization
-of the whole permuted precision matrix, one ordering at a time. The `sp learn` document is built whole, as
+of the whole permuted precision matrix, one ordering at a time. The
+sparsest DAGs of a table of parent sets are found by scoring each of
+the p! orderings on its own. The `sp learn` document is built whole, as
 nested lists. The l0-penalized optimum is found by an exact score DP
 over vertex subsets, which shares nothing with the ordering search. The CSV reader is the one that read every file as a list
 of its lines, with numpy's default "#" comment marker. Production code
@@ -245,6 +247,28 @@ def log_residual_variances(sigma) -> dict:
     return out
 
 
+def sparsest_by_orderings(p: int, table) -> set:
+    """The edge masks of the sparsest DAGs any of the p! orderings induces.
+
+    An ordering gives vertex k the parents table[T*p + k], T being k and
+    the vertices before it, so its DAG has bit j*p + k for each such j.
+    Every ordering is scored on its own; masks is the set of the least
+    edge counts' DAGs.
+    """
+    best, winners = None, set()
+    for order in permutations(range(p)):
+        mask = prefix = 0
+        for k in order:
+            prefix |= 1 << k
+            mask |= sum(1 << j * p + k for j in range(p) if int(table[prefix * p + k]) >> j & 1)
+        count = bin(mask).count("1")
+        if best is None or count < best:
+            best, winners = count, set()
+        if count == best:
+            winners.add(mask)
+    return winners
+
+
 def l0_optimal_masks(sigma, tol: float) -> set:
     """Edge masks (bit j*p + k for j -> k) of every DAG that minimizes the
     l0-penalized Gaussian score, sum over k of log sigma^2(k | pa(k)) plus
@@ -382,26 +406,33 @@ def learn_doc(result, label, wall_ms, collinear) -> dict:
 def read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
     """The numbers in a CSV file, its column names, and whether a header gave them.
 
-    Lines holding only commas and whitespace are skipped. A first line
+    Lines holding only commas and whitespace are skipped. A first record
     with a field that does not parse as a number is a header of column
-    names, no two alike; without one column i is named prefix + str(i).
-    Every data row must have the header's width, and a NaN or infinite
-    entry is rejected with its 1-based data row and its column name.
+    names, no two alike; a quoted name may hold a line break, so the
+    header takes the lines the csv module reads for that record. Without
+    a header column i is named prefix + str(i). Every data row must have
+    the header's width, and a NaN or infinite entry is rejected with its
+    1-based data row and its column name.
     """
+    blank = lambda line: not line.replace(",", "").strip()
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = [line for line in fh if line.replace(",", "").strip()]
+            lines = fh.readlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
+    while lines and blank(lines[0]):
+        del lines[0]
     if not lines:
         raise ValueError(f"{path}: empty {what} file")
-    first = [f.strip() for f in next(csv.reader(lines[:1]))]
+    reader = csv.reader(lines)
+    first = [f.strip() for f in next(reader)]
     try:
         for f in first:
             float(f)
         named = False
     except ValueError:
-        named, lines = True, lines[1:]
+        named, lines = True, lines[reader.line_num:]
+    lines = [line for line in lines if not blank(line)]
     if not lines:
         raise ValueError(f"{path}: header but no data rows")
     try:

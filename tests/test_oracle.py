@@ -127,6 +127,16 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
 
+    def test_a_checked_matrix_is_taken_as_it_is(self, monkeypatch):
+        # sp learn reads a covariance CSV into a CovarianceMatrix; the
+        # backends and the Cholesky route wrap it again without copying or
+        # factoring it a second time
+        m = CovarianceMatrix([[2.0, 0.5], [0.5, 1.0]])
+        again = CovarianceMatrix(m)
+        assert np.shares_memory(again.values, m.values) and not again.values.flags.writeable
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        gaussian_exact_backend(m), lambda_backend(m, 0.1), sp_search_cholesky(m)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TestConfig(alpha=0.0)
@@ -644,16 +654,17 @@ class TestSubsetInverses:
     def test_each_size_is_numbered_as_combinations_lists_it(self, p):
         # SGS asks the subsets of one size in this order, so the table's
         # lowest-numbered independent subset is SGS's first separator
-        members, parents, row = _layout(p)
-        assert len(members) == len(parents) == p + 1 and len(row) == 2**p
+        members, masks, parents, row = _layout(p)
+        assert len(members) == len(masks) == len(parents) == p + 1 and len(row) == 2**p
         for s in range(p + 1):
             subsets = list(combinations(range(p), s))
             assert members[s].shape == (s, len(subsets))
             assert list(map(tuple, members[s].T.tolist())) == subsets
-            masks = [sum(1 << v for v in c) for c in subsets]
-            assert [row[m] for m in masks] == list(range(len(subsets)))
+            want = [sum(1 << v for v in c) for c in subsets]
+            assert masks[s].tolist() == want and not masks[s].flags.writeable
+            assert [row[m] for m in want] == list(range(len(subsets)))
             if s:
-                assert parents[s].tolist() == [row[m ^ 1 << c[-1]] for m, c in zip(masks, subsets)]
+                assert parents[s].tolist() == [row[m ^ 1 << c[-1]] for m, c in zip(want, subsets)]
                 assert not members[s].flags.writeable and not parents[s].flags.writeable
         assert parents[0] is None and not members[0].flags.writeable
 
@@ -895,6 +906,19 @@ class TestCsvLoaders:
         (m, names), (m_plain, names_plain) = load(marked), load(plain)
         assert names == names_plain
         assert np.asarray(m).tobytes() == np.asarray(m_plain).tobytes()
+
+    @pytest.mark.parametrize("load", [load_covariance_csv, load_samples_csv])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("lead", ["", "\n"], ids=["numpy", "lines"])
+    def test_a_quoted_header_name_may_hold_a_line_break(self, tmp_path, load, end, lead):
+        # the header is one CSV record, read on past the break inside the
+        # quotes; a blank first line sends the file down the line reader
+        path = tmp_path / "m.csv"
+        path.write_bytes((lead + f'a,"g{end}h"{end}1.0,0.5{end}0.5,1.0{end}').encode())
+        matrix, names = load(path)
+        assert names == ["a", f"g{end}h"]
+        assert np.asarray(matrix).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        assert read_csv(path, "sample", "x")[1:] == (names, True)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "nothing.csv"

@@ -39,6 +39,7 @@ from spdag.sem import GenConfig, LinearSem, covariance_of, precision_of, random_
 from spdag.sp import (
     CHOL_TOL,
     SpResult,
+    _sparsest,
     build_dag_for_permutation,
     sp_search,
     sp_search_cholesky,
@@ -56,6 +57,7 @@ from corpus import (
 )
 from reference import (
     l0_optimal_masks,
+    sparsest_by_orderings,
     log_residual_variances,
     pattern_by_triples,
     permuted_precision,
@@ -209,6 +211,50 @@ class TestSpSearch:
         got = sp_search(ci)
         assert got.min_edges == want.min_edges
         assert got.winners == want.winners
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        p=st.sampled_from(range(8)),
+        fill=st.sampled_from(("empty", "full", "ties", 0.15, 0.5, 0.85)),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_dp_finds_what_scanning_every_ordering_finds(self, p, fill, symmetric, seed):
+        # A random table of parent sets, each entry a subset of T - {k}:
+        # all empty or all full (every ordering optimal), one popcount per
+        # prefix size (every ordering ties on cost), or each parent drawn
+        # with a chance. A symmetric table, where j is in k's entry iff k
+        # is in j's, is a set of independence answers, so it also runs
+        # through sp_search on an explicit backend, which fills the table
+        # by queries.
+        rng = np.random.default_rng(seed)
+        symmetric &= fill != "ties"
+        chance = {"empty": 0.0, "full": 1.0}.get(fill, fill)
+        count = rng.integers(0, np.arange(1, p + 1))  # the parents of each step from size s
+        table = np.zeros(p << p, dtype=np.int64)
+        for t in range(1 << p):
+            members = [v for v in range(p) if t >> v & 1]
+            for k in members:
+                rest = [j for j in members if j != k]
+                if fill == "ties":
+                    chosen = rng.choice(rest, count[len(rest)], replace=False)
+                else:
+                    chosen = [j for j in rest if (j < k or not symmetric) and rng.random() < chance]
+                for j in chosen:
+                    table[t * p + k] |= 1 << int(j)
+                    if symmetric:
+                        table[t * p + j] |= 1 << k
+        want = SpResult(p, sparsest_by_orderings(p, table))
+        results = [_sparsest(p, table)]
+        if symmetric:
+            results.append(sp_search(explicit_backend(p, [
+                (j, k, [v for v in range(p) if t >> v & 1 and v not in (j, k)])
+                for t in range(1 << p) for k in range(p) for j in range(k)
+                if t >> j & 1 and t >> k & 1 and not table[t * p + k] >> j & 1])))
+        for got in results:
+            assert got.min_edges == want.min_edges
+            assert got.masks == want.masks
+            assert got.classes == want.classes
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(

@@ -15,8 +15,17 @@ versions, the CPU count and the BLAS thread setting the runs saw; and
 the bytecode state, which moves setup_s by about a third: how many of
 src/spdag's modules had bytecode in __pycache__ that the running Python
 would load, before the first run and after the last, and the value of
-PYTHONDONTWRITEBYTECODE. Exits 1, after writing the file, if a run
-failed or reported a wrong output.
+PYTHONDONTWRITEBYTECODE.
+
+It also times `sp learn` itself, each run a fresh process as a user
+starts it, on population covariances it generates from SWEEP_SEED: for
+p in SWEEP_P, a sparse DAG (expected neighbourhood 2) and a complete
+one, on the gaussian and the cholesky route, SWEEP_RUNS runs each with
+the BLAS thread variables at 1. Each row holds the process's wall time
+(median and quartiles), the search's own wall_time_ms from the JSON, the
+largest max RSS of the runs, and the minimum edge count and winner
+count the runs printed. Exits 1, after writing the file, if a run
+failed or reported a wrong output, or if an `sp learn` run failed.
 """
 
 from __future__ import annotations
@@ -27,20 +36,28 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import statistics
 import struct
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 TREE = ("src", "bench", "tools")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-LEFT_OUT = (
-    "Not recorded yet: the traced layer rows (bench/run.py --trace 1) and the "
-    "p = 5..9 sparse and dense `sp learn` sweep that ROADMAP item 1 asks for."
-)
+LEFT_OUT = "Not recorded yet: the traced layer rows (bench/run.py --trace 1)."
+SWEEP_SEED = 29
+SWEEP_P = (5, 6, 7, 8, 9)
+SWEEP_RUNS = 5
+SWEEP_ROUTES = ("gaussian", "cholesky")
+# `sp learn`'s one-line summary: minimum M edges, W optimal DAGs in ...
+SUMMARY = re.compile(r"minimum (\d+) edges, (\d+) optimal DAGs")
 
 # What the runs see: bench/run.py sets the BLAS thread variables when imported.
 ENVIRONMENT = f"""
@@ -104,6 +121,87 @@ def bench_run(workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def quartiles(values: list[float]) -> dict:
+    """The median, the quartiles and the values themselves."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def write_covariance(path: Path, p: int, graph: str) -> None:
+    """The population covariance of a linear model on a fixed DAG, as a CSV
+    under a header x0..x{p-1}: a complete DAG, or a sparse one with expected
+    neighbourhood 2, its vertex labels shuffled; weights of magnitude
+    0.25..1 with a fair sign and unit noise variances."""
+    rng = np.random.default_rng([SWEEP_SEED, p, graph == "complete"])
+    upper = np.triu(np.ones((p, p), bool), 1)
+    keep = upper if graph == "complete" else upper & (rng.random((p, p)) < 2 / (p - 1))
+    weights = rng.uniform(0.25, 1, (p, p)) * rng.choice([-1.0, 1.0], (p, p))
+    order = rng.permutation(p)
+    a = np.where(keep, weights, 0.0)[order][:, order]
+    b = np.linalg.inv(np.eye(p) - a)
+    np.savetxt(path, b.T @ b, fmt="%.17g", delimiter=",",
+               header=",".join(f"x{v}" for v in range(p)), comments="")
+
+
+def learn_run(route: str, path: Path, out: Path) -> dict:
+    """One `sp learn` process: its wall time, max RSS and printed summary,
+    and the search's wall_time_ms read from the end of its JSON."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict.fromkeys(BLAS_VARS, "1")}
+    argv = [sys.executable, "-m", "spdag", "learn", "--backend", route,
+            "--input", str(path), "--out", str(out)]
+    with tempfile.TemporaryFile("w+") as log:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=log, stderr=log)
+        _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        text = log.read()
+    found = SUMMARY.search(text)
+    if proc.returncode != 0 or not found:
+        return {"error": f"exit {proc.returncode}: {text.strip()[-500:]}"}
+    with open(out, "rb") as fh:
+        fh.seek(max(0, out.stat().st_size - 200))
+        search_ms = float(re.search(rb'"wall_time_ms": ([0-9.e+-]+)', fh.read())[1])
+    return {"wall_s": wall, "search_ms": search_ms, "max_rss_mib": usage.ru_maxrss / 1024,
+            "min_edges": int(found[1]), "winners": int(found[2])}
+
+
+def learn_sweep(ps=SWEEP_P, runs: int = SWEEP_RUNS) -> list[dict]:
+    """The `sp learn` rows: each p, graph and route, over runs processes.
+
+    The routes take turns run by run, so a slow phase of the machine falls
+    on both alike.
+    """
+    rows = []
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for p in ps:
+            for graph in ("sparse", "complete"):
+                path = work / f"{graph}-{p}.csv"
+                write_covariance(path, p, graph)
+                done = {route: [] for route in SWEEP_ROUTES}
+                for _ in range(runs):
+                    for route in SWEEP_ROUTES:
+                        done[route].append(learn_run(route, path, work / "learn.json"))
+                for route, results in done.items():
+                    ok = [r for r in results if "error" not in r]
+                    row = {"p": p, "graph": graph, "route": route, "runs": runs,
+                           "errors": [r["error"] for r in results if "error" in r]}
+                    if ok:
+                        row.update(
+                            wall_s=quartiles([r["wall_s"] for r in ok]),
+                            search_ms=quartiles([r["search_ms"] for r in ok]),
+                            max_rss_mib=max(r["max_rss_mib"] for r in ok),
+                            min_edges=sorted({r["min_edges"] for r in ok}),
+                            winners=sorted({r["winners"] for r in ok}))
+                    rows.append(row)
+                    print(f"sp learn p={p} {graph} {route}: {json.dumps(row)}",
+                          file=sys.stderr, flush=True)
+    return rows
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Correctness counts and each metric's median and quartiles over runs."""
     done = [r for r in runs if "error" not in r]
@@ -117,13 +215,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     }
     for m in metrics:
         values = [r["metrics"][m["name"]]["value"] for r in done]
-        if not values:
-            continue
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else values * 3)
-        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                     "median": median, "q1": q1, "q3": q3,
-                                     "values": values}
+        if values:
+            out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
+                                         **quartiles(values)}
     return out
 
 
@@ -142,6 +236,7 @@ def main(argv=None) -> int:
             result = bench_run(name, seed, seconds)
             runs[name].append(result)
             print(f"{name} seed {seed}: {json.dumps(result)}", file=sys.stderr, flush=True)
+    sweep = learn_sweep()
 
     env = json.loads(subprocess.run([sys.executable, "-c", ENVIRONMENT], cwd=ROOT,
                                     capture_output=True, text=True, check=True).stdout)
@@ -161,13 +256,20 @@ def main(argv=None) -> int:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
         "workloads": {name: summarize(runs[name], spec["end_to_end"]) for name in names},
+        "sp_learn": {
+            "what": f"`sp learn` as a fresh process on generated population covariances "
+                    f"(seed {SWEEP_SEED}), {SWEEP_RUNS} runs per row, the routes alternating; "
+                    "wall_s is the process's, search_ms the JSON's wall_time_ms, and "
+                    "max_rss_mib the largest of the runs' max RSS.",
+            "rows": sweep,
+        },
     }
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(path.relative_to(ROOT))
     bad = any(s["errors"] or s["correct"] < s["runs"] or s["failed"]
               for s in doc["workloads"].values())
-    return 1 if bad else 0
+    return 1 if bad or any(row["errors"] for row in sweep) else 0
 
 
 if __name__ == "__main__":
