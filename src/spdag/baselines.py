@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .exceptions import CapacityError
 from .graph import EquivClassPattern, _bits, _colliders
-from .oracle import CachingBackend, CiBackend, PartialCorrelationBackend, _pair_subsets
+from .oracle import CiBackend, _pair_subsets, _tabled
 
 SKELETON_CAP = 12
 
@@ -53,9 +53,8 @@ def sgs_skeleton(ci: CiBackend):
     """
     p = ci.p
     _check_cap(p)
-    inner = ci.inner if isinstance(ci, CachingBackend) else ci
-    if isinstance(inner, PartialCorrelationBackend):
-        sepsets = inner.first_separators()
+    if (tabled := _tabled(ci)) is not None:
+        sepsets = tabled.first_separators()
     else:
         sepsets = {}
         for j, k in combinations(range(p), 2):

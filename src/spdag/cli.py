@@ -180,8 +180,10 @@ def _search_json(result, label, wall_ms, collinear):
         masks = result.ordered_masks()
         for i in range(0, len(masks), _WINNER_BLOCK):
             block = masks[i:i + _WINNER_BLOCK]
-            # row j's texts over the block, which zip deals out a winner at a time
+            # row j's texts over the block, which zip deals out a winner at a time;
+            # at p = 0 a winner has no rows, so one empty text stands for them
             texts = [map(t.__getitem__, [m >> s & row for m in block]) for t, s in rows]
+            texts = texts or [[""] * len(block)]
             yield ", " * (i > 0) + ", ".join([f"[{w[:-2]}]" for w in map("".join, zip(*texts))])
 
     doc = {

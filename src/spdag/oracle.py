@@ -30,7 +30,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, dropwhile
+from itertools import chain, combinations, dropwhile, filterfalse
 from statistics import NormalDist
 from typing import Iterable, Iterator
 
@@ -590,6 +590,12 @@ class CachingBackend(CiBackend):
         return hit
 
 
+def _tabled(ci: CiBackend) -> PartialCorrelationBackend | None:
+    """The partial-correlation backend ci is or caches, whose subset table a search reads."""
+    inner = ci.inner if isinstance(ci, CachingBackend) else ci
+    return inner if isinstance(inner, PartialCorrelationBackend) else None
+
+
 def dsep_backend(g: Dag) -> DSepBackend:
     """Oracle backend answering by d-separation in ``g``."""
     return DSepBackend(g)
@@ -673,29 +679,6 @@ def _header(lines: Iterator[str]) -> tuple[list[str], bool, list[str]]:
     return first, False, spans
 
 
-def _read_csv_lines(path, what: str) -> tuple[np.ndarray, list[str], bool]:
-    """The numbers, the first record's fields and the header flag, read as
-    a list of the lines that are not blank; every error names its cause."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = iter(list(dropwhile(_blank, fh)))
-            first, named, spans = _header(lines)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
-    except StopIteration:
-        raise ValueError(f"{path}: empty {what} file") from None
-    except csv.Error as err:  # a field over the csv module's size limit
-        raise ValueError(f"{path}: {err}") from None
-    lines = [line for line in chain([] if named else spans, lines) if not _blank(line)]
-    if not lines:
-        raise ValueError(f"{path}: header but no data rows")
-    try:
-        data = np.loadtxt(lines, **_LOADTXT)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    return data, first, named
-
-
 def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
     """The numbers in a CSV file, its column names, and whether a header gave them.
 
@@ -708,26 +691,29 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
     infinite entry is rejected with its 1-based data row and its column
     name.
 
-    The open file goes straight to numpy, which splits and converts the
-    rows in C. A file whose first line is blank, whose header is followed
-    by a blank line or by nothing, or that numpy rejects (a ragged row, a
-    field that is not a number, a blank line that is not empty) is read
-    again by :func:`_read_csv_lines`, which gives the same numbers
-    wherever both read the file and says what is wrong with it otherwise.
+    One body reads the file at most twice. The first pass hands numpy the
+    open file, which splits and converts the rows in C. Only a file numpy
+    rejects, or whose first data line is blank, is read again with the
+    skipped lines filtered out, and that pass's errors are the ones raised.
     """
-    data = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    for filtered in (False, True):
         try:
-            head = fh.readline()
-            if not _blank(head):
-                first, named, spans = _header(chain([head], fh))
-                rows = [fh.readline()] if named else spans
-                if not _blank(rows[0]):  # so numpy has a row and never warns of no data
-                    data = np.loadtxt(chain(rows, fh), **_LOADTXT)
-        except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
-            pass  # data stays None: the line reader decides
-    if data is None:
-        data, first, named = _read_csv_lines(path, what)
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+                lines = dropwhile(_blank, fh)
+                first, named, spans = _header(lines)
+                rows = lines if named else chain(spans, lines)
+                rows = filterfalse(_blank, rows) if filtered else rows
+                head = next(rows, "")
+                if _blank(head):  # so numpy has a row and never warns of no data
+                    raise ValueError("header but no data rows")
+                data = np.loadtxt(chain([head], rows), **_LOADTXT)
+            break
+        except StopIteration:
+            if filtered:
+                raise ValueError(f"{path}: empty {what} file") from None
+        except (ValueError, csv.Error) as err:  # a UnicodeDecodeError is a ValueError
+            if filtered:
+                raise ValueError(f"{path}: {err}") from None
     names = first if named else [f"{prefix}{i}" for i in range(data.shape[1])]
     if len(names) != data.shape[1]:
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")

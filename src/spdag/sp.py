@@ -44,13 +44,12 @@ from .exceptions import CapacityError
 from .graph import Dag, EquivClassPattern, _bits, pattern_of
 from .oracle import (
     MAX_P_CEILING,
-    CachingBackend,
     CiBackend,
     CovarianceMatrix,
-    PartialCorrelationBackend,
     _layout,
     _standardize,
     _SubsetTable,
+    _tabled,
 )
 
 PERMUTATION_CAP = 9
@@ -276,9 +275,8 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
     """
     p = ci.p
     _check_cap(p, max_p)
-    inner = ci.inner if isinstance(ci, CachingBackend) else ci
-    if isinstance(inner, PartialCorrelationBackend):
-        return _sparsest(p, inner.parent_table())
+    if (tabled := _tabled(ci)) is not None:
+        return _sparsest(p, tabled.parent_table())
     is_independent = ci.is_independent
     table = [0] * (p << p)
     for t in range(1 << p):

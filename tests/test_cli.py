@@ -25,9 +25,9 @@ from corpus import edge_cancellation_sem
 from reference import learn_doc
 from spdag.cli import _WINNER_BLOCK, _search_json, _write_json, build_parser, main
 from spdag.graph import Dag, _bits, format_dag_text
-from spdag.oracle import TestConfig, fisher_z_backend, iter_triples
+from spdag.oracle import TestConfig, dsep_backend, fisher_z_backend, iter_triples
 from spdag.sem import GenConfig, LinearSem, covariance_of, random_sem, sample
-from spdag.sp import SpResult
+from spdag.sp import SpResult, sp_search
 
 COLLIDER = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
@@ -184,6 +184,17 @@ class TestLearn:
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
         da.pop("wall_time_ms"), db.pop("wall_time_ms")
         assert da == db
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_an_edgeless_graph_writes_its_one_winner(self, tmp_path, p):
+        # the empty DAG is the one winner, down to p = 0, where it has no rows
+        graph, out = tmp_path / "g.txt", tmp_path / "r.json"
+        graph.write_text(f"p={p}\n")
+        run_ok(["learn", "--backend", "dsep", "--input", graph, "--out", out])
+        doc = json.loads(out.read_text())
+        result = sp_search(dsep_backend(Dag(p, [])))
+        assert len(doc["winners"]) == len(result.masks) == 1
+        assert doc["winners"] == [[]]
 
     def test_capacity_message_names_the_flag(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

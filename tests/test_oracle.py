@@ -912,7 +912,7 @@ class TestCsvLoaders:
     @pytest.mark.parametrize("lead", ["", "\n"], ids=["numpy", "lines"])
     def test_a_quoted_header_name_may_hold_a_line_break(self, tmp_path, load, end, lead):
         # the header is one CSV record, read on past the break inside the
-        # quotes; a blank first line sends the file down the line reader
+        # quotes, and the blank lines before it are skipped
         path = tmp_path / "m.csv"
         path.write_bytes((lead + f'a,"g{end}h"{end}1.0,0.5{end}0.5,1.0{end}').encode())
         matrix, names = load(path)
@@ -952,9 +952,9 @@ class TestCsvLoaders:
                              ids=["header-only", "empty-line", "empty-line-then-rows"])
     def test_a_header_without_a_row_after_it_leaves_warnings_alone(self, tmp_path,
                                                                      monkeypatch, load, after):
-        # numpy warns on a file with no data rows; the reader sends such a
-        # file to the line reader rather than silence numpy, so numpy
-        # always runs under the caller's warning filters
+        # numpy warns on a file with no data rows; the reader reads such a
+        # file in its filtered second pass rather than silence numpy, so
+        # numpy always runs under the caller's warning filters
         path = tmp_path / "m.csv"
         path.write_text("a,b\n" + after.lstrip("\n"))
         want = load(path) if after.strip() else f"{path}: header but no data rows"
@@ -984,18 +984,20 @@ class TestCsvLoaders:
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
     @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
-    def test_clean_files_never_become_a_list_of_lines(self, tmp_path, monkeypatch,
-                                                       header, bom, end):
-        # the line reader is only for files numpy rejects or warns on, and
-        # an empty line is not one of them
+    def test_clean_files_are_read_once(self, tmp_path, monkeypatch, header, bom, end):
+        # the filtered second pass is only for files numpy rejects or warns
+        # on, and an empty line is not one of them
         x = np.random.default_rng(5).standard_normal((200, 4))
         lines = [",".join(f"{v:.17g}" for v in row) for row in x]
         lines[100:100] = [""]
         path = tmp_path / "data.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(bom + end.join(["a,b,c,d"] * header + lines) + end)
-        monkeypatch.setattr(oracle, "_read_csv_lines", None)
+        opened = []
+        monkeypatch.setattr(oracle, "open", lambda *a, **kw: opened.append(a) or open(*a, **kw),
+                            raising=False)
         data, names = load_samples_csv(path)
+        assert opened == [(path, "r")]
         assert data.tobytes() == x.tobytes()
         assert names == (["a", "b", "c", "d"] if header else ["x0", "x1", "x2", "x3"])
 

@@ -48,6 +48,7 @@ from spdag.sp import (
 from corpus import (
     CHAIN4,
     FOUR_CYCLE,
+    collinear_samples,
     edge_cancellation_backend,
     edge_cancellation_sem,
     marginal_cancellation_backend,
@@ -537,6 +538,24 @@ class TestSubsetTable:
         got = sp_search_cholesky(sigma)
         assert got.min_edges == want.min_edges
         assert got.winners == want.winners
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_a_plain_wrapper_is_asked_and_finds_what_the_table_finds(self, mode):
+        # An object with only p and is_independent, bare or behind a cache,
+        # as the benchmark's counting proxies wrap a backend, carries no
+        # subset table: SP, SGS and PC ask it query by query and find the
+        # masks, edges and separating sets the Fisher backend itself gives.
+        x = collinear_samples(np.random.default_rng(30 + mode), 6, mode, n=400)
+        fresh = lambda: fisher_z_backend(x, TestConfig(alpha=0.05))
+        searches = (lambda ci: sp_search(ci).masks, sgs_skeleton, pc_skeleton)
+        want = [search(fresh()) for search in searches]
+        wraps = (QueryOnly, lambda ci: caching_wrapper(QueryOnly(ci)),
+                 lambda ci: QueryOnly(caching_wrapper(QueryOnly(ci))))
+        for wrap in wraps:
+            with mock.patch.object(PartialCorrelationBackend, "parent_table") as parents, \
+                    mock.patch.object(PartialCorrelationBackend, "first_separators") as firsts:
+                assert [search(wrap(fresh())) for search in searches] == want
+            assert not parents.called and not firsts.called
 
     def test_empty_prefix_and_collinear_subsets_read_alike_on_both_routes(self, monkeypatch):
         # Column 4 copies column 0 up to noise of 1e-6, so every subset
