@@ -17,7 +17,9 @@ three answer sources implement it:
   dependent and is counted in ``collinear_warnings``. For the ordering
   search it builds a flat table of every step's parent mask from the
   same inverses, and for SGS every pair's first separating set, a
-  subset size at a time, by the same rule and bits.
+  subset size at a time, by the same rule and bits. The index arrays
+  those read depend on p alone, so each is built once per p and shared
+  read-only (``_layout``, ``_steps``, ``_upper``).
 
 All backends are deterministic and symmetric in the queried pair.
 :func:`caching_wrapper` memoizes any of them on canonicalized queries.
@@ -251,11 +253,36 @@ def _layout(p: int) -> tuple:
 
 
 @cache
-def _upper(s: int) -> tuple:
-    """The row and column numbers (a, b), a < b, of an s x s upper triangle, read-only."""
-    pairs = np.triu_indices(s, 1)
-    for a in pairs:
+def _steps(p: int) -> tuple:
+    """The parent table's and the order DP's per-size index arrays, shared read-only.
+
+    Over _layout(p)'s numbering of the subsets T of size s and their members
+    k: slots[s] = T*p + k, each step's entry in the flat table; prev[s] =
+    T - {k}; weights[s] = 1 << k. ones[T] is the size of each subset. Each
+    is held in the fewest bits that fit it up to the ceiling, as a p = 16
+    search keeps them beside its tables.
+    """
+    members, masks = _layout(p)[:2]
+    ones = np.empty(1 << p, dtype=np.uint8)
+    for s, m in enumerate(masks):
+        ones[m] = s
+    slots = [(m * p + k).astype(np.int32) for m, k in zip(masks, members)]
+    prev = [(m ^ 1 << k).astype(np.uint16) for m, k in zip(masks, members)]
+    weights = [(1 << k).astype(np.uint16) for k in members]
+    for a in [ones, *slots, *prev, *weights]:
         a.setflags(write=False)
+    return slots, prev, weights, ones
+
+
+@cache
+def _upper(s: int) -> tuple:
+    """The row and column numbers (a, b), a < b, of an s x s upper triangle, and
+    the rows a*s + b and b*s + a of each pair in the stack flattened to s*s rows,
+    read-only."""
+    a, b = np.triu_indices(s, 1)
+    pairs = a, b, a * s + b, b * s + a
+    for x in pairs:
+        x.setflags(write=False)
     return pairs
 
 
@@ -270,6 +297,7 @@ def _border(inv, corr: np.ndarray, rest: np.ndarray, v: np.ndarray) -> np.ndarra
     A collinear K_T is all NaN: some member's conditional variance given
     the rest of T, 1/K_ii, is below COLLINEAR_TOL. The rule treats every
     member alike, so labels do not matter, and a NaN K_R spreads to K_T.
+    The caller silences numpy's floating-point warnings, once per build.
     """
     m, n = rest.shape
     b = corr[rest, v]
@@ -281,12 +309,11 @@ def _border(inv, corr: np.ndarray, rest: np.ndarray, v: np.ndarray) -> np.ndarra
         dot += b[i] * u[i]
     c = corr[v, v] - dot
     out = np.empty((m + 1, m + 1, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[:m, :m] = inv + u[:, None] * u / c
-        out[m, :m] = out[:m, m] = -u / c
-        out[m, m] = 1 / c
-        tol = out.diagonal() * COLLINEAR_TOL
-        out[:, :, ~((0 < tol) & (tol <= 1)).all(1)] = math.nan  # NaN fails too
+    out[:m, :m] = inv + u[:, None] * u / c
+    out[m, :m] = out[:m, m] = -u / c
+    out[m, m] = 1 / c
+    tol = out.diagonal() * COLLINEAR_TOL
+    out[:, :, ~((0 < tol) & (tol <= 1)).all(1)] = math.nan  # NaN fails too
     return out
 
 
@@ -298,8 +325,9 @@ def _bordered(corr: np.ndarray, mask: int) -> np.ndarray:
     """
     members = np.array(list(_bits(mask)))
     inv = np.ones((0, 0, 1))
-    for i in range(len(members)):
-        inv = _border(inv, corr, members[:i, None], members[i : i + 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(members)):
+            inv = _border(inv, corr, members[:i, None], members[i : i + 1])
     return inv
 
 
@@ -336,9 +364,10 @@ class _SubsetTable:
         levels = self._levels
         if s >= len(levels):
             members, _, parents, _ = self._layout
-            for t in range(len(levels), s + 1):
-                rest, v = members[t][:-1], members[t][-1]
-                levels.append(_border(levels[-1][:, :, parents[t]], self._corr, rest, v))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for t in range(len(levels), s + 1):
+                    rest, v = members[t][:-1], members[t][-1]
+                    levels.append(_border(levels[-1][:, :, parents[t]], self._corr, rest, v))
         return levels[s]
 
     def locate(self, mask: int) -> tuple[np.ndarray, int]:
@@ -357,16 +386,22 @@ class _SubsetTable:
         that size, a collinear one all NaN, goes to rule(inv, members),
         members[i] holding each T's i-th smallest vertex. It returns an
         s x s stack that is true where member j stays dependent on member
-        k given the rest of T. Column k becomes a vertex mask through the
-        weights 1 << member. An entry with |T| < 2 is 0. The search caps
-        p at MAX_P_CEILING, so the table keeps every size.
+        k given the rest of T, and false on the diagonal. Column k becomes
+        a vertex mask through the weights 1 << member, in 16 bits, which
+        every mask fits: the search caps p at MAX_P_CEILING, so the table
+        keeps every size. An entry with |T| < 2 is 0. The index arrays
+        come from _steps(p), built once per p, and numpy's floating-point
+        warnings are silenced once.
         """
         p = self._corr.shape[0]
-        members, masks = self._layout[:2]
-        table = np.zeros(p << p, dtype=np.int64)
-        for s in range(2, p + 1):
-            dependent = rule(self._level(s), members[s]) & ~np.eye(s, dtype=bool)[:, :, None]
-            table[masks[s] * p + members[s]] = np.einsum("jkt,jt->kt", dependent, 1 << members[s])
+        members = self._layout[0]
+        slots, _, weights, _ = _steps(p)
+        table = np.zeros(p << p, dtype=np.uint16)
+        self._level(p)  # every size at once
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in range(2, p + 1):
+                dependent = rule(self._levels[s], members[s])
+                table[slots[s]] = np.einsum("jkt,jt->kt", dependent, weights[s])
         return table
 
 
@@ -469,7 +504,7 @@ class PartialCorrelationBackend(CiBackend):
         return self._independent(t)
 
     def parent_table(self) -> np.ndarray:
-        """The search's flat table of parent masks, by the rule of is_independent."""
+        """The search's flat table of 16-bit parent masks, by the rule of is_independent."""
         return self._table.parent_table(self._dependent)
 
     def _dependent(self, inv, members):
@@ -477,31 +512,37 @@ class PartialCorrelationBackend(CiBackend):
 
         Collinear queries are recorded as there.
         """
-        a, b = _upper(len(members))
-        ok, independent = self._decide(inv, a, b)
-        self._note_collinear(members, a, b, ~ok)
-        dependent = np.zeros(inv.shape, bool)
-        dependent[a, b] = dependent[b, a] = ~independent
-        return dependent
+        s = len(members)
+        a, b, ab, ba = _upper(s)
+        ok, independent = self._decide(inv)
+        if not ok.all():
+            self._note_collinear(members, a, b, ~ok)
+        dependent = np.zeros((s * s, inv.shape[2]), bool)
+        dependent[ab] = dependent[ba] = ~independent
+        return dependent.reshape(inv.shape)
 
-    def _decide(self, inv, a, b):
-        """(not collinear, is_independent) for member pairs (a, b) of stacked subsets.
+    def _decide(self, inv):
+        """(not collinear, is_independent) for the member pairs of stacked subsets.
 
-        Entry [i, t] answers for members a[i] and b[i] of the t-th subset,
-        given its other members, by _rule and _independent. rho takes the
-        scalar path's IEEE operations, so it has the same bits. The Fisher
-        statistic takes np.arctanh, which may differ from math.atanh in the
-        last place, so a statistic within a relative 1e-9 of the level is
-        taken again by _rule from the float, as the scalar path takes it.
+        Entry [i, t] answers for the i-th pair (a, b) of _upper(s) in the
+        t-th subset, given its other members, by _rule and _independent.
+        rho takes the scalar path's IEEE operations, so it has the same
+        bits. The Fisher statistic takes np.arctanh, which may differ from
+        math.atanh in the last place, so a statistic within a relative
+        1e-9 of the level is taken again by _rule from the float, as the
+        scalar path takes it. The caller silences numpy's warnings.
         """
-        d = inv.diagonal().T
-        rho = -inv[a, b] / np.sqrt(d[a] * d[b])
+        s = len(inv)
+        a, b, ab, _ = _upper(s)
+        flat = inv.reshape(s * s, -1)
+        d = flat[:: s + 1]  # the diagonals
+        rho = -flat.take(ab, 0) / np.sqrt(d.take(a, 0) * d.take(b, 0))
         ok = np.abs(rho) < 1  # NaN fails too
-        size = len(inv) - 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = self._rule(rho, size, np.arctanh)
-        near = ok & (np.abs(t - self._level) <= 1e-9 * self._level)
-        t[near] = [self._rule(r, size) for r in rho[near].tolist()]
+        t = self._rule(rho, s - 2, np.arctanh)
+        if self._n is not None:
+            near = np.abs(t - self._level) <= 1e-9 * self._level  # inf and NaN are not near
+            if near.any():
+                t[near] = [self._rule(r, s - 2) for r in rho[near].tolist()]
         return ok, ok & self._independent(t)
 
     def _note_collinear(self, members, a, b, where) -> None:
@@ -535,23 +576,25 @@ class PartialCorrelationBackend(CiBackend):
         members = _layout(p)[0]
         open_ = np.triu(np.ones((p, p), bool), 1).ravel()  # at j * p + k
         found = {}
-        for s in range(2, p + 1):
-            if not open_.any():
-                break
-            a, b = _upper(s)
-            ok, independent = self._decide(self._table._level(s), a, b)
-            pair = members[s][a] * p + members[s][b]  # a row per member pair, a column per subset
-            count = pair.shape[1]
-            live = open_[pair]
-            i, t = np.nonzero(live & independent)
-            first = np.full(p * p, count)
-            np.minimum.at(first, pair[i, t], t)
-            self._note_collinear(members[s], a, b, live & ~ok & (np.arange(count) < first[pair]))
-            done = np.flatnonzero(first < count)
-            for q, number in zip(done.tolist(), first[done].tolist()):
-                j, k = divmod(q, p)
-                found[j, k] = frozenset(members[s][:, number].tolist()) - {j, k}
-            open_[done] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in range(2, p + 1):
+                if not open_.any():
+                    break
+                a, b = _upper(s)[:2]
+                ok, independent = self._decide(self._table._level(s))
+                pair = members[s][a] * p + members[s][b]  # a row per pair, a column per subset
+                count = pair.shape[1]
+                live = open_[pair]
+                i, t = np.nonzero(live & independent)
+                first = np.full(p * p, count)
+                np.minimum.at(first, pair[i, t], t)
+                asked = live & ~ok & (np.arange(count) < first[pair])
+                self._note_collinear(members[s], a, b, asked)
+                done = np.flatnonzero(first < count)
+                for q, number in zip(done.tolist(), first[done].tolist()):
+                    j, k = divmod(q, p)
+                    found[j, k] = frozenset(members[s][:, number].tolist()) - {j, k}
+                open_[done] = False
         return found
 
 
@@ -679,6 +722,19 @@ def _header(lines: Iterator[str]) -> tuple[list[str], bool, list[str]]:
     return first, False, spans
 
 
+def _undecodable(path) -> str:
+    """The file's first byte that is not UTF-8, by its 1-based line and its offset in
+    the file (the text layer's decoder counts from its last read chunk)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")  # a byte order mark is UTF-8 too, and counts from byte 0
+    except UnicodeDecodeError as err:
+        line = len((data[: err.start] + b".").splitlines())
+        return f"line {line}, byte {err.start}: can't decode byte 0x{data[err.start]:02x} as UTF-8"
+    return "the file changed while it was read"
+
+
 def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]:
     """The numbers in a CSV file, its column names, and whether a header gave them.
 
@@ -713,7 +769,8 @@ def _read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool
                 raise ValueError(f"{path}: empty {what} file") from None
         except (ValueError, csv.Error) as err:  # a UnicodeDecodeError is a ValueError
             if filtered:
-                raise ValueError(f"{path}: {err}") from None
+                where = _undecodable(path) if isinstance(err, UnicodeDecodeError) else err
+                raise ValueError(f"{path}: {where}") from None
     names = first if named else [f"{prefix}{i}" for i in range(data.shape[1])]
     if len(names) != data.shape[1]:
         raise ValueError(f"{path}: header width {len(names)} != data width {data.shape[1]}")

@@ -8,7 +8,7 @@ the minimum, grouped into equivalence classes.  Because a vertex's
 parents depend only on the set of vertices before it, the minimum over
 the p! orderings is found by a DP over the 2^p prefix sets, which numpy
 runs one prefix size at a time, in the subset numbering the parent
-table is built in.
+table is built in, reading index arrays built once per p.
 
 A Gaussian-only variant applies the paper's Cholesky theorem: the DAG an
 ordering induces is the nonzero pattern of the upper unitriangular
@@ -48,6 +48,7 @@ from .oracle import (
     CovarianceMatrix,
     _layout,
     _standardize,
+    _steps,
     _SubsetTable,
     _tabled,
 )
@@ -183,7 +184,8 @@ def _sparsest(p: int, table) -> SpResult:
     that prefix's best plus the step's popcount, T's best is the least
     of them, and every step attaining it ties.  Going back a size at a
     time from the full set, a tying step into an on-path prefix is kept
-    and marks T - {k} on path.
+    and marks T - {k} on path.  The index arrays, each step's table entry
+    and prefix, are built once per p (oracle._steps).
     One forward walk over the kept steps, a prefix size at a time,
     builds the winners' edge masks, each extension a single OR, so a
     winner reached by many orderings is held once.  Each prefix maps
@@ -199,38 +201,24 @@ def _sparsest(p: int, table) -> SpResult:
     winner, no winner is peeled, and pattern_of runs once per class.
     """
     members, masks = _layout(p)[:2]
-    ones = np.empty(1 << p, dtype=np.intp)  # popcount, as each subset's size
-    for size, m in enumerate(masks):
-        ones[m] = size
-    best = np.zeros(1 << p, dtype=np.intp)
-    steps = [None]  # by size: each step's parents, previous prefix and tie
+    slots, prev, _, ones = _steps(p)
+    best = np.zeros(1 << p, dtype=np.uint8)  # edge counts, under 2^8 up to the ceiling
+    ties = [None]  # by size: whether each step ties
     for size in range(1, p + 1):
-        parents = table[masks[size] * p + members[size]]
-        prev = masks[size] ^ 1 << members[size]
-        cost = best[prev] + ones[parents]
+        cost = best[prev[size]] + ones[table[slots[size]]]
         best[masks[size]] = low = cost.min(0)
-        steps.append((parents, prev, cost == low))
+        ties.append(cost == low)
     on = np.zeros(1 << p, dtype=bool)
     on[-1] = True
     for size in range(p, 0, -1):  # back from the full set
-        _, prev, tie = steps[size]
+        tie = ties[size]
         tie &= on[masks[size]]
-        on[prev[tie]] = True
-
-    @cache  # many steps add the same parents
-    def spread(found: int) -> tuple:
-        """Bit j*p for each parent j, and bit a*p + b for each pair of parents a < b."""
-        column = pairs = 0
-        for a in _bits(found):
-            column |= 1 << a * p
-            pairs |= found >> a + 1 << a * p + a + 1
-        return column, pairs
-
+        on[prev[size][tie]] = True
     level = {0: {(0, 0): {0}}}  # prefix -> class key -> the class's winners
     for size in range(1, p + 1):
-        parents, _, tie = steps[size]
-        t, i = np.nonzero(tie.T)  # the kept steps, prefix by prefix
-        kept = zip(masks[size][t].tolist(), members[size][i, t].tolist(), parents[i, t].tolist())
+        t, i = np.nonzero(ties[size].T)  # the kept steps, prefix by prefix
+        parents = table[slots[size][i, t]]
+        kept = zip(masks[size][t].tolist(), members[size][i, t].tolist(), parents.tolist())
         walked = {}
         for mask, k, found in kept:
             groups = walked.setdefault(mask, {})
@@ -239,7 +227,7 @@ def _sparsest(p: int, table) -> SpResult:
                 for key, group in old.items():
                     groups.setdefault(key, set()).update(group)
                 continue
-            column, pairs = spread(found)
+            column, pairs = _spread(p, found)
             added = column << k
             both = added | found << k * p
             for (skel, coll), group in old.items():
@@ -248,6 +236,16 @@ def _sparsest(p: int, table) -> SpResult:
                 groups.setdefault((skel | both, coll), set()).update(map(added.__or__, group))
         level = walked
     return SpResult._from_search(p, level[(1 << p) - 1].values())
+
+
+@cache  # many steps add the same parents, in a search and across searches; found < 2^p
+def _spread(p: int, found: int) -> tuple:
+    """Bit j*p for each parent j in found, and bit a*p + b for each pair of parents a < b."""
+    column = pairs = 0
+    for a in _bits(found):
+        column |= 1 << a * p
+        pairs |= found >> a + 1 << a * p + a + 1
+    return column, pairs
 
 
 def _check_cap(p: int, max_p: int) -> None:
@@ -284,7 +282,7 @@ def sp_search(ci: CiBackend, *, max_p: int = PERMUTATION_CAP) -> SpResult:
             if not is_independent(j, k, tuple(_bits(t ^ 1 << j ^ 1 << k))):
                 table[t * p + k] |= 1 << j
                 table[t * p + j] |= 1 << k
-    return _sparsest(p, np.array(table, dtype=np.int64))
+    return _sparsest(p, np.array(table, dtype=np.uint16))
 
 
 def sp_search_cholesky(
@@ -316,5 +314,12 @@ def sp_search_cholesky(
     p = sigma.p
     _check_cap(p, max_p)
     table = _SubsetTable(_standardize(sigma))
-    fill = lambda inv, _: ~(abs(inv) / inv.diagonal().T <= chol_tol)
+
+    def fill(inv, _):  # in place, as a stack at p = 16 holds millions of entries
+        ratio = np.abs(inv)
+        ratio /= inv.diagonal().T
+        dependent = ~(ratio <= chol_tol)
+        dependent.reshape(len(inv) ** 2, -1)[:: len(inv) + 1] = False  # not k's own parent
+        return dependent
+
     return _sparsest(p, table.parent_table(fill))

@@ -11,8 +11,11 @@ sparsest DAGs of a table of parent sets are found by scoring each of
 the p! orderings on its own. The `sp learn` document is built whole, as
 nested lists. The l0-penalized optimum is found by an exact score DP
 over vertex subsets, which shares nothing with the ordering search. The CSV reader is the one that read every file as a list
-of its lines, with numpy's default "#" comment marker. Production code
-must agree with these on everything small enough to brute force.
+of its lines, with numpy's default "#" comment marker. The subset
+table's rule step is the one that built, for every subset size, fresh
+index arrays, a full s x s dependence stack and the diagonal mask, and
+checked every entry against the Fisher level. Production code must
+agree with these on everything small enough to brute force.
 """
 
 import csv
@@ -26,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from spdag.exceptions import NumericalError
 from spdag.graph import Dag, EquivClassPattern
-from spdag.oracle import CovarianceMatrix
+from spdag.oracle import CovarianceMatrix, _layout
 from spdag.sp import CHOL_TOL
 
 
@@ -453,3 +456,92 @@ def read_csv(path, what: str, prefix: str) -> tuple[np.ndarray, list[str], bool]
             "not a finite number"
         )
     return data, names, named
+
+
+def _decide_by_size(be, inv, a, b):
+    """(not collinear, is_independent) for member pairs (a, b) of the stacked
+    subsets inv, by be's rule; a statistic within a relative 1e-9 of the
+    Fisher level is taken again with math.atanh, as the scalar path takes it."""
+    d = inv.diagonal().T
+    rho = -inv[a, b] / np.sqrt(d[a] * d[b])
+    ok = np.abs(rho) < 1
+    level, n, size = be._level, be._n, len(inv) - 2
+    rule = lambda rho, atanh: abs(rho) if n is None else math.sqrt(n - size - 3) * abs(atanh(rho))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = rule(rho, np.arctanh)
+    near = ok & (np.abs(t - level) <= 1e-9 * level)
+    t[near] = [rule(r, math.atanh) for r in rho[near].tolist()]
+    return ok, ok & (t <= level if n is None else t < level)
+
+
+def _collinear_queries(members, a, b, where) -> set:
+    """The queries (j, k, mask of the rest) of member pairs (a, b) where `where` holds."""
+    i, t = np.nonzero(where)
+    j, k = members[a[i], t], members[b[i], t]
+    rest = (1 << members[:, t]).sum(0) ^ 1 << j ^ 1 << k
+    return set(zip(j.tolist(), k.tolist(), rest.tolist()))
+
+
+def parent_table_by_sizes(be) -> tuple:
+    """A partial-correlation backend's flat parent table and the collinear
+    queries it meets, a subset size at a time: each size builds its own
+    index arrays and an s x s stack of "j stays dependent on k" from the
+    upper-triangle decisions, masked off the diagonal."""
+    p = be.p
+    members, masks = _layout(p)[:2]
+    table = np.zeros(p << p, dtype=np.int64)
+    collinear = set()
+    for s in range(2, p + 1):
+        inv = be._table._level(s)
+        a, b = np.triu_indices(s, 1)
+        ok, independent = _decide_by_size(be, inv, a, b)
+        collinear |= _collinear_queries(members[s], a, b, ~ok)
+        dependent = np.zeros(inv.shape, bool)
+        dependent[a, b] = dependent[b, a] = ~independent
+        dependent &= ~np.eye(s, dtype=bool)[:, :, None]
+        table[masks[s] * p + members[s]] = np.einsum("jkt,jt->kt", dependent, 1 << members[s])
+    return table, collinear
+
+
+def cholesky_table_by_sizes(subsets, chol_tol: float) -> np.ndarray:
+    """The Cholesky route's flat parent table from a subset table of the
+    correlation matrix, a subset size at a time, as parent_table_by_sizes."""
+    p = len(subsets._corr)
+    members, masks = _layout(p)[:2]
+    table = np.zeros(p << p, dtype=np.int64)
+    for s in range(2, p + 1):
+        inv = subsets._level(s)
+        dependent = ~(abs(inv) / inv.diagonal().T <= chol_tol)
+        dependent &= ~np.eye(s, dtype=bool)[:, :, None]
+        table[masks[s] * p + members[s]] = np.einsum("jkt,jt->kt", dependent, 1 << members[s])
+    return table
+
+
+def first_separators_by_sizes(be) -> tuple:
+    """Each pair's first separating set in SGS's order and the collinear
+    queries that walk asks, a subset size at a time: every pair of a size
+    is decided at once, each open pair keeps its lowest-numbered
+    independent subset, and the loop stops when no pair is open."""
+    p = be.p
+    members = _layout(p)[0]
+    open_ = np.triu(np.ones((p, p), bool), 1).ravel()
+    found, collinear = {}, set()
+    for s in range(2, p + 1):
+        if not open_.any():
+            break
+        a, b = np.triu_indices(s, 1)
+        ok, independent = _decide_by_size(be, be._table._level(s), a, b)
+        pair = members[s][a] * p + members[s][b]
+        count = pair.shape[1]
+        live = open_[pair]
+        i, t = np.nonzero(live & independent)
+        first = np.full(p * p, count)
+        np.minimum.at(first, pair[i, t], t)
+        collinear |= _collinear_queries(
+            members[s], a, b, live & ~ok & (np.arange(count) < first[pair]))
+        done = np.flatnonzero(first < count)
+        for q, number in zip(done.tolist(), first[done].tolist()):
+            j, k = divmod(q, p)
+            found[j, k] = frozenset(members[s][:, number].tolist()) - {j, k}
+        open_[done] = False
+    return found, collinear

@@ -45,10 +45,12 @@ from spdag.oracle import (
     PartialCorrelationBackend,
     _layout,
     _standardize,
+    _steps,
     _SubsetTable,
+    _upper,
 )
 from spdag.sem import LinearSem, covariance_of, random_sem, GenConfig, sample
-from spdag.sp import sp_search, sp_search_cholesky
+from spdag.sp import CHOL_TOL, _spread, sp_search, sp_search_cholesky
 
 from corpus import (
     CHAIN3,
@@ -60,7 +62,14 @@ from corpus import (
     marginal_cancellation_sem,
     random_sem_pool,
 )
-from reference import partial_corr_by_inverse, read_csv, subset_inverse
+from reference import (
+    cholesky_table_by_sizes,
+    first_separators_by_sizes,
+    parent_table_by_sizes,
+    partial_corr_by_inverse,
+    read_csv,
+    subset_inverse,
+)
 
 
 def random_spd(rng, p):
@@ -447,8 +456,8 @@ class TestFisherZ:
         be._table._levels = levels
         answers = []
         for size in range(2, p + 1):
-            a, b = np.triu_indices(size, 1)
-            ok, independent = be._decide(levels[size], a, b)
+            a, b = np.triu_indices(size, 1)  # the pairs _decide answers, in its order
+            ok, independent = be._decide(levels[size])
             assert ok.all()
             for (i, t), got in np.ndenumerate(independent):
                 members = queries[size][t]
@@ -754,6 +763,102 @@ class TestSubsetInverses:
             assert a[:, :, i].tobytes() == b[:, :, j].tobytes()
 
 
+class TestRuleStep:
+    """The subset table's rule step against the one in tests/reference.py,
+    which builds its index arrays and a full dependence stack per size."""
+
+    @staticmethod
+    def agree(fresh, cov):
+        """fresh() backends' parent table, first separators and collinear
+        queries, and the Cholesky route's table on cov, equal the reference's."""
+        be, ref = fresh(), fresh()
+        want, collinear = parent_table_by_sizes(ref)
+        assert np.array_equal(be.parent_table(), want)
+        assert be._collinear == collinear and be.collinear_warnings == len(collinear)
+        be, ref = fresh(), fresh()
+        want, collinear = first_separators_by_sizes(ref)
+        assert be.first_separators() == want and be._collinear == collinear
+        try:
+            matrix = CovarianceMatrix(cov)
+        except ValueError:  # a copied column leaves no positive definite matrix
+            return
+        for tol in (CHOL_TOL, 0.2):
+            want = cholesky_table_by_sizes(_SubsetTable(_standardize(matrix)), tol)
+            with mock.patch("spdag.sp._sparsest", lambda p, table: table):
+                assert np.array_equal(sp_search_cholesky(matrix, tol, max_p=matrix.p), want)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from(range(8, 1, -1)),
+           mode=st.sampled_from([0, 1, 2]),
+           rule=st.sampled_from(["exact", "lambda", "fisher", "fisher-tie"]), pick=st.integers(0))
+    def test_every_size_decides_as_the_reference(self, seed, p, mode, rule, pick):
+        # Plain, copied and near-collinear columns in random units; a tie
+        # puts the Fisher level exactly on one query's finite statistic,
+        # where the strict test calls that query dependent.
+        x = collinear_samples(np.random.default_rng(seed), p, mode)
+        moments = x.T @ x / len(x)
+        level, n = {"exact": (1e-9, None), "lambda": (0.2, None)}.get(rule, (2.5758, len(x)))
+        if rule == "fisher-tie":
+            probe = PartialCorrelationBackend(moments, level, n)
+            finite = [t for t in (probe.statistic(*q) for q in iter_triples(p)) if t < math.inf]
+            if not finite:
+                return
+            level = finite[pick % len(finite)]
+        self.agree(lambda: PartialCorrelationBackend(moments, level, n), moments)
+
+    @pytest.mark.parametrize("p", [12, 14])
+    def test_sparse_models_at_large_p(self, p):
+        rng = np.random.default_rng(p)
+        sigma = covariance_of(random_sem(GenConfig(p=p, expected_nbhd=2.0), rng))
+        self.agree(lambda: gaussian_exact_backend(sigma), sigma)
+        if p == 12:
+            x = sample(random_sem(GenConfig(p=p, expected_nbhd=2.0), rng), 200, rng)
+            self.agree(lambda: fisher_z_backend(x, TestConfig(alpha=0.01)), x.T @ x / len(x))
+
+    def test_a_second_search_builds_no_index_array(self):
+        # The per-size index arrays are built once per p and shared
+        # read-only: a second search of either route at the same p misses
+        # no cache, and every cached array rejects writes.
+        p = 7
+        sem = random_sem(GenConfig(p=p, expected_nbhd=2.0), np.random.default_rng(p))
+        sigma = covariance_of(sem)
+        cached = (_layout, _steps, _upper, _spread)
+        searches = (lambda: sp_search(gaussian_exact_backend(sigma)),
+                    lambda: sp_search(caching_wrapper(gaussian_exact_backend(sigma))),
+                    lambda: sp_search_cholesky(sigma))
+        want = [search() for search in searches]
+        misses = [f.cache_info().misses for f in cached]
+        assert [search() for search in searches] == want
+        assert [f.cache_info().misses for f in cached] == misses
+        members, masks, parents, _ = _layout(p)
+        slots, prev, weights, ones = _steps(p)
+        arrays = [*members, *masks, *parents[1:], *slots, *prev, *weights, ones]
+        for s in range(p + 1):
+            arrays += _upper(s)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_each_size_is_one_rule_step(self, p):
+        # parent_table decides each subset size with one _decide call,
+        # records collinear queries only when a subset is collinear, and
+        # enters numpy's error state once for the inverses and once for
+        # the rule, however many sizes there are.
+        sem = random_sem(GenConfig(p=p, expected_nbhd=2.0), np.random.default_rng(p))
+        sigma = covariance_of(sem)
+        be = gaussian_exact_backend(sigma)
+        decide = PartialCorrelationBackend._decide
+        with mock.patch.object(PartialCorrelationBackend, "_decide", autospec=True,
+                               side_effect=decide) as decides, \
+                mock.patch.object(PartialCorrelationBackend, "_note_collinear") as notes, \
+                mock.patch("numpy.errstate", wraps=np.errstate) as errstate:
+            table = be.parent_table()
+        assert decides.call_count == p - 1 and not notes.called and errstate.call_count == 2
+        assert np.array_equal(table, parent_table_by_sizes(gaussian_exact_backend(sigma))[0])
+        assert table.dtype == np.uint16  # every vertex mask up to the ceiling fits
+
+
 class TestCachingWrapper:
     def test_transparent_and_counts(self):
         calls = []
@@ -821,6 +926,30 @@ class TestCachingWrapper:
 
 
 class TestCsvLoaders:
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_an_undecodable_byte_is_named_by_its_line_and_offset(self, tmp_path, bom):
+        # The text layer's decoder counts from the start of its last read
+        # chunk, so the error names the byte's 1-based line and its offset
+        # in the file: far past the first chunk, after CRLF line ends, and
+        # in the header.
+        rng = np.random.default_rng(31)
+        rows = [",".join(f"{v:.17g}" for v in row) for row in rng.standard_normal((5001, 3))]
+        lines = [b"a,b,c", *(row.encode() for row in rows[:5000]), b"1,2,\xff", rows[5000].encode()]
+        path = tmp_path / "big.csv"
+        path.write_bytes(bom + b"\r\n".join(lines) + b"\r\n")
+        data = path.read_bytes()
+        assert len(data) > 30 * 8192  # many chunks of the text layer
+        offset = data.index(b"\xff")
+        want = f"{path}: line 5002, byte {offset}: can't decode byte 0xff as UTF-8"
+        for load in (load_samples_csv, load_covariance_csv):
+            with pytest.raises(ValueError) as err:
+                load(path)
+            assert str(err.value) == want
+        path.write_bytes(bom + b"a,\xe2\x82b\n1,2\n")
+        with pytest.raises(ValueError) as err:
+            load_samples_csv(path)
+        assert str(err.value) == f"{path}: line 1, byte {len(bom) + 2}: can't decode byte 0xe2 as UTF-8"
+
     def test_covariance_with_and_without_header(self, tmp_path):
         path = tmp_path / "cov.csv"
         path.write_text("a, b\n1.0,0.3\n0.3,1.0\n")
